@@ -54,7 +54,7 @@
 //!
 //! `--net-smoke` runs the loopback-TCP CI gate instead of the basket: a
 //! small home2 prefix on the real-socket runtime must stay clean, agree
-//! with the threaded runtime's tie-insensitive totals, and survive the
+//! with the DES on the placement-fixed totals, and survive the
 //! reconnect drill (every coordinator connection dropped mid-run)
 //! losslessly with at least one re-dial.
 //!
@@ -70,7 +70,7 @@
 //! / `.net.json` (`cx-obs net`) land next to it; ≥99% of ops must come
 //! back with a server-side Executed stamp.
 //!
-//! `--live` runs the home2 scenario on the *threaded* runtime with the
+//! `--live` runs the home2 scenario on the loopback TCP runtime with the
 //! metric registry publishing live: `--metrics-out <prefix>` (default
 //! `target/cx_metrics`) gets a `.prom` (Prometheus text) and `.json`
 //! (registry snapshot) refreshed every 500 ms while the run executes —
@@ -91,8 +91,7 @@
 
 use cx_core::{
     BatchTrigger, ClusterConfig, Experiment, LiveMetrics, MetaratesMix, MetricRegistry, ObsSink,
-    Phase, Protocol, RecoveryExperiment, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster,
-    Workload,
+    Phase, Protocol, RecoveryExperiment, TcpCluster, TcpOptions, TcpRunResult, Workload,
 };
 use cx_workloads::Trace;
 use serde::{Deserialize, Serialize};
@@ -392,8 +391,8 @@ fn obs_run(args: &cx_bench::Args) {
     );
 }
 
-/// `--live`: run the home2 scenario on the threaded runtime with live
-/// metric exposition. Client threads bump the registry as ops complete;
+/// `--live`: run the home2 scenario on the loopback TCP runtime with live
+/// metric exposition. Client shepherds bump the registry as ops complete;
 /// a monitor thread refreshes `<prefix>.prom` / `<prefix>.json` every
 /// 500 ms (`cx-obs top <prefix>.json` renders the latter); engines fold
 /// their protocol series in at stop. Prints the final snapshot's top
@@ -415,7 +414,11 @@ fn live_run(args: &cx_bench::Args) {
     live.out = Some(std::path::PathBuf::from(&prefix));
     let registry = live.registry.clone();
     let st = e.workload.stream(&e.cfg);
-    let r = ThreadedCluster::run_stream_live(e.cfg.clone(), st, ObsSink::Off, live);
+    let opts = TcpOptions {
+        live: Some(live),
+        ..TcpOptions::default()
+    };
+    let r = TcpCluster::run_stream_opts(e.cfg, st, opts);
     assert!(r.violations.is_empty(), "--live: home2 run inconsistent");
     let snap = registry.snapshot();
     println!("{}", snap.render_top());
@@ -433,7 +436,7 @@ fn live_run(args: &cx_bench::Args) {
 /// Wall-clock-safe triggers for the real-socket runtime: the default
 /// batch trigger is ~10 *virtual* seconds, which a wall-clock runtime
 /// would serve as an actual ten-second stall per batch. Same idiom as
-/// the threaded runtime's tests.
+/// the TCP runtime's tests.
 fn wall_clock(mut cfg: ClusterConfig) -> ClusterConfig {
     cfg.cx.trigger = BatchTrigger::Timeout {
         period_ns: 5_000_000, // 5 ms
@@ -514,8 +517,8 @@ fn run_multiproc(
 
 /// `--net-smoke`: the loopback-TCP CI gate. A small home2 prefix on the
 /// real-socket runtime must (a) stay atomicity-clean, (b) finish every
-/// op, (c) agree with the threaded runtime on the tie-insensitive totals
-/// (`ops_total`, `cross_ops`, the applied+failed closure), and (d)
+/// op, (c) agree with the DES on the placement-fixed totals (`ops_total`,
+/// `cross_ops`) and close the applied+failed accounting, and (d)
 /// survive the reconnect drill — every coordinator connection dropped
 /// mid-run — losslessly, with at least one re-dial.
 fn net_smoke(args: &cx_bench::Args) {
@@ -536,14 +539,14 @@ fn net_smoke(args: &cx_bench::Args) {
         "net smoke: op accounting must close"
     );
 
-    let thr = ThreadedCluster::run(cfg.clone(), &trace);
+    let (des, _) = cx_core::run_trace(cfg.clone(), &trace);
     assert_eq!(
-        tcp.stats.ops_total, thr.stats.ops_total,
-        "net smoke: ops_total drifted vs threaded"
+        tcp.stats.ops_total, des.ops_total,
+        "net smoke: ops_total drifted vs DES"
     );
     assert_eq!(
-        tcp.stats.cross_ops, thr.stats.cross_ops,
-        "net smoke: cross_ops drifted vs threaded"
+        tcp.stats.cross_ops, des.cross_ops,
+        "net smoke: cross_ops drifted vs DES"
     );
 
     let opts = TcpOptions {
@@ -566,7 +569,7 @@ fn net_smoke(args: &cx_bench::Args) {
     );
     println!(
         "net smoke ok: {} ops over loopback TCP ({} server + {} client frames), \
-         totals match threaded; reconnect drill re-dialed {}x and stayed lossless",
+         totals match DES; reconnect drill re-dialed {}x and stayed lossless",
         tcp.stats.ops_total, tcp.stats.server_msgs, tcp.stats.client_msgs, drill.reconnects
     );
 }

@@ -6,14 +6,11 @@
 //!   CPU queues, and the `cx-simio` disk model (group commit, elevator
 //!   merging). Replays a [`cx_workloads::Trace`] and produces a
 //!   [`RunStats`] with everything the paper's tables and figures report.
-//! * [`threaded`] — a real multi-threaded runtime (one OS thread per
-//!   metadata server, crossbeam channels as the network) exercising the
-//!   same engines under true concurrency; used by the integration tests
-//!   and the Criterion micro-benchmarks.
-//! * [`tcp`] — the same engines over real loopback TCP via `cx-net`
-//!   (length-prefixed wire frames, reconnecting connection managers,
-//!   per-peer health); runs in-process or one OS process per server,
-//!   with the DES as its oracle for the run totals.
+//! * [`tcp`] — the wall-clock runtime: the same engines under true
+//!   concurrency over real TCP via `cx-net` (length-prefixed wire frames,
+//!   reconnecting connection managers, per-peer health); runs in-process
+//!   over loopback or one OS process per server, with the DES as its
+//!   oracle for the run totals.
 
 pub mod des;
 pub mod fault;
@@ -21,7 +18,6 @@ pub mod feed;
 pub mod par;
 pub mod stats;
 pub mod tcp;
-pub mod threaded;
 
 pub use cx_net::WireTotals;
 pub use cx_obs::{FlightRecorder, MetricRegistry, ObsConfig, ObsReport, ObsSink};
@@ -32,5 +28,6 @@ pub use par::{
     run_chaos_partitioned, run_stream_partitioned, run_stream_partitioned_obs, PartitionMap,
 };
 pub use stats::{AckRecord, FaultStats, LatencyStat, RecoveryCycle, RunStats, TimelineSample};
-pub use tcp::{serve_one, serve_one_opts, ServeOptions, TcpCluster, TcpOptions, TcpRunResult};
-pub use threaded::{LiveMetrics, ThreadedCluster, ThreadedRunResult};
+pub use tcp::{
+    serve_one, serve_one_opts, LiveMetrics, ServeOptions, TcpCluster, TcpOptions, TcpRunResult,
+};

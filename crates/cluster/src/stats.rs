@@ -393,7 +393,7 @@ impl RunStats {
 
     /// Publish the run's totals into a metric registry — the bridge from
     /// the per-run accounting to the exposition formats (`cx-obs top`,
-    /// Prometheus text). DES runs publish once at finalize; the threaded
+    /// Prometheus text). DES runs publish once at finalize; the TCP
     /// runtime publishes the same series live.
     pub fn publish(&self, reg: &MetricRegistry) {
         reg.add(Counter::OpsIssued, self.ops_total);

@@ -1,12 +1,15 @@
-//! The TCP runtime: the same sans-IO engines over real loopback sockets.
+//! The wall-clock runtime: the same sans-IO engines over real TCP.
 //!
-//! Structurally a sibling of [`crate::threaded`] — one engine thread per
-//! metadata server, synchronous client threads pulling from a shared
-//! [`OpFeed`] — but every message crosses a real TCP connection through
-//! `cx-net`'s [`ConnectionManager`]: length-prefixed wire frames, per-peer
-//! writer threads with bounded (backpressuring) outbound queues, reconnect
-//! with exponential backoff, per-peer health scoring. The engines cannot
-//! tell; the DES remains the oracle for what the totals must be.
+//! One engine thread per metadata server, synchronous logical clients
+//! hosted on shepherd threads pulling from a shared [`OpFeed`]; every
+//! message crosses a real TCP connection through `cx-net`'s
+//! [`ConnectionManager`]: length-prefixed wire frames, per-peer writer
+//! threads with bounded (backpressuring) outbound queues, reconnect with
+//! exponential backoff, per-peer health scoring. Disk completions are
+//! immediate and timers fire at wall-clock rate, so this runtime checks
+//! protocol *correctness under true concurrency*, not timing — timing is
+//! the DES's job, and the DES is the oracle for what the totals must be.
+//! The engines cannot tell which runtime drives them.
 //!
 //! Two deployment shapes share all of this code:
 //!
@@ -20,15 +23,13 @@
 //!   [`Frame::Peers`] frame so servers can dial each other.
 //!
 //! Control traffic (quiesce/probe/stop) rides the same connections as
-//! protocol messages, so the threaded runtime's drain protocol works
-//! unchanged: quiesce rounds until every server reports quiesced, then a
-//! `Stop` whose `StopResp` carries the server's stats as JSON plus a
-//! binary snapshot of its [`MetaStore`] rows for the coordinator-side
-//! [`GlobalView`] atomicity check.
+//! protocol messages: quiesce rounds until every server reports
+//! quiesced, then a `Stop` whose `StopResp` carries the server's stats as
+//! JSON plus a binary snapshot of its [`MetaStore`] rows for the
+//! coordinator-side [`GlobalView`] atomicity check.
 
 use crate::feed::OpFeed;
 use crate::stats::RunStats;
-use crate::threaded::{seed_engine, LiveMetrics};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cx_mdstore::{GlobalView, MetaStore, Violation};
 use cx_net::{
@@ -50,6 +51,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -106,7 +108,9 @@ pub struct TcpOptions {
     /// Wire-plane tuning (backoff plus the [`cx_types::NetTuning`]
     /// coalescing/corking/queue knobs).
     pub net: PlaneConfig,
-    /// Live metric exposition, exactly as in the threaded runtime.
+    /// Live metric exposition: shepherds bump the registry as ops
+    /// complete, and a monitor thread keeps the on-disk snapshot files
+    /// fresh (see [`LiveMetrics`]).
     pub live: Option<LiveMetrics>,
     /// Reconnect drill: after this many completed client operations, drop
     /// the coordinator's connection to every server once, mid-run. The
@@ -136,8 +140,8 @@ impl Default for TcpOptions {
     }
 }
 
-/// Result of a TCP run: the same shape as a threaded run, plus the wire
-/// plane's operational counters.
+/// Result of a TCP run: the run totals and the coordinator-side
+/// atomicity check, plus the wire plane's operational counters.
 pub struct TcpRunResult {
     pub stats: RunStats,
     pub violations: Vec<Violation>,
@@ -160,6 +164,49 @@ pub struct TcpRunResult {
     /// Every node's view of every peer it talked to — rendered by
     /// `cx-obs net`.
     pub net: NetTable,
+}
+
+/// Live-exposition settings for a TCP run: shepherds publish into
+/// `registry` concurrently while the run executes, and — when `out` is
+/// set — a monitor thread writes `<out>.prom` (Prometheus text) and
+/// `<out>.json` (a [`cx_obs::MetricsSnapshot`], the input of `cx-obs top`)
+/// every `period`, plus once more after the final server state lands.
+pub struct LiveMetrics {
+    pub registry: MetricRegistry,
+    pub out: Option<PathBuf>,
+    pub period: Duration,
+}
+
+impl LiveMetrics {
+    pub fn new(registry: MetricRegistry) -> Self {
+        Self {
+            registry,
+            out: None,
+            period: Duration::from_millis(500),
+        }
+    }
+
+    /// Write `<out>.prom` and `<out>.json`. Each file is written to a
+    /// `.tmp` sibling and renamed into place, so a poller never reads a
+    /// truncated snapshot. The first failed write warns on stderr; later
+    /// failures stay quiet (the monitor retries every period).
+    pub(crate) fn write_files(registry: &MetricRegistry, out: &Path) {
+        static WARNED: AtomicBool = AtomicBool::new(false);
+        let snap = registry.snapshot();
+        for (ext, body) in [
+            ("prom", snap.to_prometheus_text()),
+            ("json", snap.to_json()),
+        ] {
+            let path = out.with_extension(ext);
+            let tmp = out.with_extension(format!("{ext}.tmp"));
+            if let Err(e) = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, &path)) {
+                let _ = std::fs::remove_file(&tmp);
+                if !WARNED.swap(true, Ordering::Relaxed) {
+                    eprintln!("[cx-mon] cannot write {}: {e}", path.display());
+                }
+            }
+        }
+    }
 }
 
 /// The TCP cluster runtime.
@@ -376,9 +423,10 @@ fn obs_on_send(obs: &ObsSink, from: Endpoint, payload: &Payload, now: SimTime) {
     }
 }
 
-/// Interpret engine actions. Disk completions are immediate, as in the
-/// threaded runtime (this runtime checks correctness under concurrency
-/// and real sockets, not timing); timers go into the node's local queue.
+/// Interpret engine actions. Disk completions are immediate (this runtime
+/// checks correctness under concurrency and real sockets, not timing;
+/// completions can cascade, so a work queue avoids recursion); timers go
+/// into the node's local queue.
 fn process_server_actions(
     engine: &mut dyn ServerEngine,
     actions: Vec<Action>,
@@ -523,6 +571,32 @@ fn handle_server_frame(
         _ => {}
     }
     false
+}
+
+/// Load the trace's pre-existing namespace into one server's store: every
+/// directory inode everywhere, and each file's dentry and inode on the
+/// servers that placement assigns them to.
+fn seed_engine(
+    engine: &mut dyn ServerEngine,
+    placement: &Placement,
+    seeds: &[SeedEntry],
+    me: ServerId,
+) {
+    for seed in seeds {
+        match *seed {
+            SeedEntry::Dir { ino } => {
+                engine.store_mut().seed_inode(ino, FileKind::Directory, 1);
+            }
+            SeedEntry::File { parent, name, ino } => {
+                if placement.dentry_server(parent, name) == me {
+                    engine.store_mut().seed_dentry(parent, name, ino);
+                }
+                if placement.inode_server(ino) == me {
+                    engine.store_mut().seed_inode(ino, FileKind::Regular, 1);
+                }
+            }
+        }
+    }
 }
 
 /// Batches of inbound batches a server node processes per wakeup before it
@@ -1003,9 +1077,8 @@ fn shepherd_deliver(
     }
 }
 
-/// Completion-side accounting for a finished op, identical to the former
-/// per-thread client loop; the slot goes idle and is refilled on the next
-/// shepherd sweep.
+/// Completion-side accounting for a finished op; the slot goes idle and
+/// is refilled on the next shepherd sweep.
 fn slot_finish(ctx: &ShepherdCtx<'_>, slot: &mut ClientSlot, outcome: OpOutcome) {
     let active = slot.active.take().expect("finishing an in-flight op");
     let done = ctx.net.now();
@@ -1261,8 +1334,8 @@ fn run_inner(
         (Some(pump), feeds)
     };
 
-    // Live-exposition monitor: the threaded runtime's periodic snapshot
-    // writer, plus the wire-throughput gauges — per-period deltas of the
+    // Live-exposition monitor: the periodic snapshot writer, plus the
+    // wire-throughput gauges — per-period deltas of the
     // aggregated frame/byte/flush totals across every in-process manager.
     let live_reg = opts.live.as_ref().map(|l| l.registry.clone());
     let monitor_stop = Arc::new(AtomicBool::new(false));
@@ -1668,7 +1741,7 @@ fn peer_row(on: &str, peer: &str, h: &HealthSnapshot) -> NetPeerRow {
 mod tests {
     use super::*;
     use cx_types::BatchTrigger;
-    use cx_workloads::{TraceBuilder, TraceProfile};
+    use cx_workloads::{Metarates, MetaratesMix, TraceBuilder, TraceProfile};
 
     fn fast_cfg(servers: u32, protocol: Protocol) -> ClusterConfig {
         let mut cfg = ClusterConfig::new(servers, protocol);
@@ -1685,11 +1758,92 @@ mod tests {
         let trace = TraceBuilder::new(TraceProfile::by_name("CTH").unwrap())
             .scale(0.001)
             .build();
-        let res = TcpCluster::run(fast_cfg(4, Protocol::Cx), &trace);
+        for protocol in [Protocol::Cx, Protocol::Se, Protocol::SeBatched] {
+            let res = TcpCluster::run(fast_cfg(4, protocol), &trace);
+            assert_eq!(res.violations, vec![], "{protocol:?}");
+            assert_eq!(res.stats.ops_total, trace.ops.len() as u64, "{protocol:?}");
+            assert!(
+                res.stats.total_msgs() > 0,
+                "{protocol:?}: messages crossed real sockets"
+            );
+            if protocol == Protocol::Cx {
+                assert!(res.stats.server_stats.ops_committed > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_metarates_under_contention() {
+        let trace = Metarates::new(MetaratesMix::UpdateDominated, 8)
+            .seed_files(64)
+            .ops_per_proc(50)
+            .build();
+        let res = TcpCluster::run(fast_cfg(2, Protocol::Cx), &trace);
+        assert_eq!(res.violations, vec![]);
+        assert_eq!(res.stats.ops_total, 8 * 50);
+        // real concurrency must still commit everything
+        assert!(res.stats.server_stats.ops_committed > 0);
+    }
+
+    /// Heavier concurrency: a conflict-rich slice with short wall-clock
+    /// triggers, checking that invalidations/immediate commitments under
+    /// true parallelism still converge to a consistent namespace.
+    #[test]
+    fn tcp_conflict_storm_converges() {
+        let trace = TraceBuilder::new(TraceProfile::by_name("deasna2").unwrap())
+            .scale(0.0006)
+            .tweak(|p| p.shared_access_prob = 0.3)
+            .build();
+        let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+        cfg.cx.trigger = BatchTrigger::Timeout {
+            period_ns: 3_000_000, // 3 ms wall clock
+        };
+        cfg.cx.hint_mismatch_timeout_ns = 15_000_000;
+        cfg.cx.presumed_abort_timeout_ns = 30_000_000;
+        let res = TcpCluster::run(cfg, &trace);
         assert_eq!(res.violations, vec![]);
         assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
-        assert!(res.stats.server_stats.ops_committed > 0);
-        assert!(res.stats.total_msgs() > 0, "messages crossed real sockets");
+        assert!(
+            res.stats.server_stats.conflicts > 0,
+            "the storm must actually produce conflicts"
+        );
+    }
+
+    /// The same engines under failure injection and real threads.
+    #[test]
+    fn tcp_failure_injection_stays_atomic() {
+        let trace = TraceBuilder::new(TraceProfile::by_name("s3d").unwrap())
+            .scale(0.0008)
+            .build();
+        let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+        cfg.cx.trigger = BatchTrigger::Threshold { pending_ops: 16 };
+        cfg.failure.subop_fail_prob = 0.03;
+        let res = TcpCluster::run(cfg, &trace);
+        assert_eq!(res.violations, vec![]);
+        assert!(res.stats.ops_failed > 0, "injected failures surface");
+        assert_eq!(res.stats.ops_total, trace.ops.len() as u64);
+    }
+
+    #[test]
+    fn live_metrics_files_are_replaced_whole() {
+        let dir = std::env::temp_dir().join(format!("cx-live-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("metrics");
+        let reg = MetricRegistry::new();
+        reg.inc(Counter::OpsIssued);
+        LiveMetrics::write_files(&reg, &out);
+        let json = std::fs::read_to_string(out.with_extension("json")).unwrap();
+        let snap = cx_obs::MetricsSnapshot::from_json(&json).expect("snapshot parses");
+        assert_eq!(snap.value("cx_ops_issued_total"), Some(1));
+        let prom = std::fs::read_to_string(out.with_extension("prom")).unwrap();
+        assert!(prom.contains("cx_ops_issued_total"));
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["metrics.json", "metrics.prom"], "no temp file left");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

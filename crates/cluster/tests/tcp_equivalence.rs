@@ -1,7 +1,7 @@
-//! Loopback equivalence: the TCP runtime must reproduce the threaded
-//! runtime's tie-insensitive totals for all four engine families on the
-//! same workload (ISSUE 7 satellite 3), with the DES as a second oracle
-//! for the schedule-independent counters.
+//! Loopback equivalence: the wall-clock TCP runtime must reproduce the
+//! DES's tie-insensitive totals for every engine family on the same
+//! workload. The DES runs the same engines on virtual time; it is the
+//! oracle for the schedule-independent counters.
 //!
 //! "Tie-insensitive" draws the line at scheduling ties: counters fixed by
 //! the workload and placement (`ops_total`, `cross_ops`, the
@@ -11,7 +11,7 @@
 //! same `max(2, total/50)` shape the perf-baseline CI gate uses.
 
 use cx_cluster::des::run_trace;
-use cx_cluster::{RunStats, TcpCluster, TcpOptions, ThreadedCluster};
+use cx_cluster::{RunStats, TcpCluster, TcpOptions};
 use cx_net::PlaneConfig;
 use cx_types::{BatchTrigger, ClusterConfig, NetTuning, Protocol};
 use cx_workloads::{Trace, TraceBuilder, TraceProfile};
@@ -65,26 +65,32 @@ fn assert_tie_insensitive_match(tcp: &RunStats, other: &RunStats, label: &str) {
 }
 
 #[test]
-fn tcp_loopback_matches_threaded_for_all_four_engines() {
+fn tcp_loopback_matches_des_for_every_engine() {
     let trace = home2_prefix();
-    for protocol in [Protocol::Cx, Protocol::Se, Protocol::TwoPc, Protocol::Ce] {
+    for protocol in [
+        Protocol::Cx,
+        Protocol::Se,
+        Protocol::SeBatched,
+        Protocol::TwoPc,
+        Protocol::Ce,
+    ] {
         let tcp = TcpCluster::run(fast_cfg(4, protocol), &trace);
-        let thr = ThreadedCluster::run(fast_cfg(4, protocol), &trace);
+        let (des, des_violations) = run_trace(fast_cfg(4, protocol), &trace);
         assert_eq!(tcp.violations, vec![], "{protocol:?}: tcp atomicity");
-        assert_eq!(thr.violations, vec![], "{protocol:?}: threaded atomicity");
+        assert_eq!(des_violations, vec![], "{protocol:?}: DES atomicity");
         assert_eq!(
             tcp.stats.ops_total,
             trace.ops.len() as u64,
             "{protocol:?}: every op completed over TCP"
         );
-        assert_tie_insensitive_match(&tcp.stats, &thr.stats, &format!("{protocol:?} vs threaded"));
+        assert_tie_insensitive_match(&tcp.stats, &des, &format!("{protocol:?} vs DES"));
 
         // Work actually happened on the wire side, at the same order of
         // magnitude: sub-op executions are retry-sensitive, so a wide
         // sanity band rather than equality.
         let (a, b) = (
             tcp.stats.server_stats.subops_executed,
-            thr.stats.server_stats.subops_executed,
+            des.server_stats.subops_executed,
         );
         assert!(a > 0, "{protocol:?}: tcp executed sub-ops");
         assert!(
@@ -110,17 +116,17 @@ fn tcp_loopback_matches_des_oracle_for_cx() {
 #[test]
 fn tcp_reconnect_mid_run_keeps_equivalence() {
     // The drill drops every coordinator connection mid-run; the totals
-    // must still close (lossless reconnect) and match the threaded run.
+    // must still close (lossless reconnect) and match the DES.
     let trace = home2_prefix();
     let opts = TcpOptions {
         drop_conns_after_ops: Some(trace.ops.len() as u64 / 4),
         ..TcpOptions::default()
     };
     let tcp = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace.to_stream(), opts);
-    let thr = ThreadedCluster::run(fast_cfg(4, Protocol::Cx), &trace);
+    let (des, _) = run_trace(fast_cfg(4, Protocol::Cx), &trace);
     assert_eq!(tcp.violations, vec![]);
     assert!(tcp.reconnects >= 1, "the drill must force a re-dial");
-    assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx reconnect vs threaded");
+    assert_tie_insensitive_match(&tcp.stats, &des, "Cx reconnect vs DES");
 }
 
 #[test]
@@ -131,7 +137,7 @@ fn tcp_reconnect_under_aggressive_corking_stays_lossless() {
     // but unflushed; the drop drill then severs every coordinator
     // connection mid-run. The retained-batch re-encode on the next
     // connection generation must keep the run lossless and per-peer FIFO:
-    // totals close exactly and match the threaded oracle.
+    // totals close exactly and match the DES oracle.
     let trace = home2_prefix();
     let opts = TcpOptions {
         drop_conns_after_ops: Some(trace.ops.len() as u64 / 4),
@@ -147,7 +153,7 @@ fn tcp_reconnect_under_aggressive_corking_stays_lossless() {
         ..TcpOptions::default()
     };
     let tcp = TcpCluster::run_stream_opts(fast_cfg(4, Protocol::Cx), trace.to_stream(), opts);
-    let thr = ThreadedCluster::run(fast_cfg(4, Protocol::Cx), &trace);
+    let (des, _) = run_trace(fast_cfg(4, Protocol::Cx), &trace);
     assert_eq!(tcp.violations, vec![], "corked reconnect: atomicity");
     assert!(tcp.reconnects >= 1, "the corked drill must force a re-dial");
     assert_eq!(
@@ -155,7 +161,7 @@ fn tcp_reconnect_under_aggressive_corking_stays_lossless() {
         trace.ops.len() as u64,
         "corked reconnect: every op completed (no coalesced frame lost)"
     );
-    assert_tie_insensitive_match(&tcp.stats, &thr.stats, "Cx corked reconnect vs threaded");
+    assert_tie_insensitive_match(&tcp.stats, &des, "Cx corked reconnect vs DES");
     // Corking must have actually coalesced: across the coordinator's
     // peers, strictly fewer flushes than frames.
     let (frames, flushes) = tcp.health.iter().fold((0u64, 0u64), |(f, fl), (_, h)| {

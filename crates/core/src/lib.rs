@@ -35,7 +35,7 @@
 //! | `cx-wal` | Result/Commit/Abort/Complete records, pruning, durability |
 //! | `cx-mdstore` | per-server metadata rows + cross-server consistency checks |
 //! | `cx-simio` | disk model: group commit, elevator merging |
-//! | `cx-cluster` | deterministic simulation + threaded + TCP runtimes |
+//! | `cx-cluster` | deterministic simulation + wall-clock TCP runtime |
 //! | `cx-workloads` | the six Table II trace profiles + Metarates |
 //! | `cx-recovery` | the Table V crash/recovery experiment |
 
@@ -45,8 +45,8 @@ pub use cx_cluster::{
     des::run_trace, run_chaos_partitioned, run_stream_partitioned, run_stream_partitioned_obs,
     run_stream_trace, AckRecord, ChaosOutcome, ClusterSnapshot, CrashCmd, CrashPlan, DesCluster,
     FaultEvent, FaultInjector, FaultStats, LatencyStat, LiveMetrics, MsgFate, PartitionMap,
-    RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult, ThreadedCluster,
-    TimelineSample, WireTotals,
+    RecoveryCycle, RecoveryReport, RunStats, TcpCluster, TcpOptions, TcpRunResult, TimelineSample,
+    WireTotals,
 };
 pub use cx_mdstore::Violation;
 pub use cx_obs::{
@@ -288,17 +288,6 @@ impl Experiment {
         let st = self.workload.stream(&self.cfg);
         let (stats, violations) = run_stream_partitioned(self.cfg.clone(), st, parts);
         ExperimentResult { stats, violations }
-    }
-
-    /// Run on the multi-threaded runtime (correctness under real
-    /// concurrency; no timing model).
-    pub fn run_threaded(&self) -> ExperimentResult {
-        let st = self.workload.stream(&self.cfg);
-        let res = ThreadedCluster::run_stream(self.cfg.clone(), st);
-        ExperimentResult {
-            stats: res.stats,
-            violations: res.violations,
-        }
     }
 }
 

@@ -64,8 +64,8 @@ pub enum Frame {
     /// so multi-process servers can dial each other without a rendezvous
     /// service.
     Peers { servers: Vec<(u32, String)> },
-    /// Coordinator asks a server to flush batched commitments (the threaded
-    /// runtime's drain protocol, over the wire).
+    /// Coordinator asks a server to flush batched commitments (the
+    /// drain protocol's first step).
     Quiesce,
     /// Coordinator asks: are you quiesced? Token echoes back in the reply.
     /// `t0_ns` is the sender's clock at send time (nanoseconds since its

@@ -19,8 +19,8 @@
 //!
 //! - [`registry`]: the typed metric registry — Cx-specific counters,
 //!   gauges and histogram series with Prometheus-text and JSON
-//!   exposition, safe for concurrent publication from the threaded
-//!   runtime and consumed live by `cx-obs top`.
+//!   exposition, safe for concurrent publication from the TCP runtime
+//!   and consumed live by `cx-obs top`.
 //! - [`flow`]: causal message-edge tracing — every cross-server message
 //!   becomes a flow arc connecting coordinator and participant tracks in
 //!   the Perfetto trace, and feeds `cx-obs trace --op`.

@@ -14,7 +14,7 @@
 //! cx-obs bench-drift <BENCH_PR*.json>…   perf-history trajectory table
 //! ```
 //!
-//! `top` reads the snapshot a threaded run writes via `--metrics-out`;
+//! `top` reads the snapshot a TCP run writes via `--metrics-out`;
 //! pair it with `watch` for a live view:
 //! `watch -n1 'cx-obs top target/live.metrics.json'`. A multiproc TCP run
 //! writes one snapshot per process — pass them all and `top` merges them

@@ -2,7 +2,7 @@
 //! gauges and histograms, with Prometheus-text and JSON exposition.
 //!
 //! The registry is a cheap `Arc` handle over atomic counters, so the
-//! threaded runtime's clients and servers can publish concurrently while
+//! TCP runtime's clients and servers can publish concurrently while
 //! a monitor thread snapshots it — the HTTP-less live surface behind
 //! `cx-obs top` and `--metrics-out`. The DES publishes once, at
 //! finalization, from its deterministic [`RunStats`-side] totals; the

@@ -7,7 +7,7 @@
 //! protocol state, so golden digests are identical either way (pinned by
 //! `tests/observability.rs`). `ObsSink::On` wraps the recorder in
 //! `Arc<Mutex<…>>` so the same sink type serves the single-threaded DES
-//! and the threaded runtime.
+//! and the multi-threaded TCP runtime.
 
 use crate::flow::{FlowNode, MsgEdge, MsgKind};
 use crate::hist::LogHistogram;

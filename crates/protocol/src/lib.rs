@@ -8,8 +8,8 @@
 //!
 //! * the deterministic discrete-event simulator in `cx-cluster::des`
 //!   (reproduces the paper's figures), and
-//! * the multi-threaded runtime in `cx-cluster::threaded` (exercises the
-//!   same engines under real concurrency).
+//! * the wall-clock TCP runtime in `cx-cluster::tcp` (exercises the same
+//!   engines under real concurrency over real sockets).
 //!
 //! # Engines
 //!

@@ -121,7 +121,7 @@ impl ProtoMetrics {
     }
 
     /// Publish into the shared registry (counter adds are atomic, so the
-    /// threaded runtime's servers publish concurrently).
+    /// TCP runtime's servers publish concurrently).
     pub fn publish(&self, reg: &MetricRegistry) {
         reg.add(Counter::ConflictsOrdered, self.conflicts_ordered);
         reg.add(Counter::ConflictsDisordered, self.conflicts_disordered);

@@ -1,4 +1,4 @@
-//! Local `crossbeam` shim: the `channel` subset the threaded cluster uses,
+//! Local `crossbeam` shim: the `channel` subset the TCP runtime and wire plane use,
 //! backed by `std::sync::mpsc`. Unlike mpsc, crossbeam has a single `Sender`
 //! type for bounded and unbounded channels, so this wraps both in one enum.
 

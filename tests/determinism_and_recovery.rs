@@ -1,6 +1,6 @@
 //! Reproducibility and crash-recovery, end to end.
 
-use cx_core::{Experiment, Protocol, RecoveryExperiment, Workload};
+use cx_core::{Experiment, Protocol, RecoveryExperiment, TcpCluster, Workload};
 
 /// The whole pipeline is deterministic: identical configuration →
 /// identical statistics, across protocols.
@@ -107,45 +107,36 @@ fn recovery_time_is_sublinear_in_valid_records() {
     );
 }
 
-/// The threaded runtime reaches the same final state as the simulator for
-/// the same sequential workload.
+/// The wall-clock TCP runtime reaches the same final state as the
+/// simulator for the same sequential workload.
 #[test]
-fn threaded_and_des_agree() {
-    let workload = Workload::trace("CTH").scale(0.0008);
-    let des = Experiment::new(workload.clone())
+fn tcp_and_des_agree() {
+    let e = Experiment::new(Workload::trace("CTH").scale(0.0008))
         .servers(4)
         .protocol(Protocol::Cx)
         .configure(|cfg| {
             cfg.cx.trigger = cx_core::BatchTrigger::Timeout {
                 period_ns: 5_000_000,
             }
-        })
-        .run();
-    let thr = Experiment::new(workload)
-        .servers(4)
-        .protocol(Protocol::Cx)
-        .configure(|cfg| {
-            cfg.cx.trigger = cx_core::BatchTrigger::Timeout {
-                period_ns: 5_000_000,
-            }
-        })
-        .run_threaded();
-    assert!(des.is_consistent() && thr.is_consistent());
-    assert_eq!(des.stats.ops_total, thr.stats.ops_total);
-    // The threaded runtime batches on *wall-clock* timers, so which ops land
-    // in which lazy-commitment batch — and therefore which concurrent ops
+        });
+    let des = e.run();
+    let tcp = TcpCluster::run_stream(e.cfg.clone(), e.workload.stream(&e.cfg));
+    assert!(des.is_consistent() && tcp.violations.is_empty());
+    assert_eq!(des.stats.ops_total, tcp.stats.ops_total);
+    // The TCP runtime batches on *wall-clock* timers, so which ops land in
+    // which lazy-commitment batch — and therefore which concurrent ops
     // conflict and abort — races with real thread scheduling. Exact
     // applied/failed equality with the virtual-time simulator is not a
     // guaranteed invariant; near-agreement is.
     assert_eq!(
-        thr.stats.ops_applied + thr.stats.ops_failed,
-        thr.stats.ops_total
+        tcp.stats.ops_applied + tcp.stats.ops_failed,
+        tcp.stats.ops_total
     );
-    let diff = des.stats.ops_applied.abs_diff(thr.stats.ops_applied);
+    let diff = des.stats.ops_applied.abs_diff(tcp.stats.ops_applied);
     assert!(
         diff <= des.stats.ops_total / 50,
-        "threaded applied {} vs DES {} — divergence beyond scheduling noise",
-        thr.stats.ops_applied,
+        "TCP applied {} vs DES {} — divergence beyond scheduling noise",
+        tcp.stats.ops_applied,
         des.stats.ops_applied
     );
 }
@@ -213,7 +204,7 @@ fn home2_digest_pins_simulator_behavior() {
 /// reproducible; across partition counts every tie-insensitive total is
 /// exactly equal to the single-threaded run, conflict-adjacent counters
 /// stay within a tight band (same-tick arrival ties flip a handful of
-/// conflict detections — the same reason the threaded runtime is
+/// conflict detections — the same reason the TCP runtime is
 /// tolerance-checked), and the latency histograms remain statistically
 /// indistinguishable.
 #[test]

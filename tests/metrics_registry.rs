@@ -7,13 +7,13 @@
 //! 2. **Zero interference**: installing the registry and the flight
 //!    recorder changes nothing — the golden home2 digest is identical
 //!    with and without them.
-//! 3. **Concurrent exactness**: the threaded runtime's client threads
+//! 3. **Concurrent exactness**: the TCP runtime's client shepherds
 //!    bump the shared atomics concurrently, and the totals still match
 //!    the deterministic DES run of the same workload.
 
 use cx_core::{
     DesCluster, Experiment, FlightRecorder, LiveMetrics, MetricRegistry, ObsSink, Protocol,
-    ThreadedCluster, Workload,
+    TcpCluster, TcpOptions, Workload,
 };
 
 const GOLDEN_HOME2_DIGEST: u64 = 4_199_832_947_163_537_151;
@@ -138,12 +138,12 @@ fn flight_recorder_and_registry_leave_golden_digest_alone() {
     );
 }
 
-/// Concurrent increments from the threaded runtime's client threads
-/// merge to the same totals as the deterministic DES run of the same
-/// workload (ops and cross-ops counts are placement-determined, so they
-/// must agree exactly; the applied/failed split must sum to issued).
+/// Concurrent increments from the TCP runtime's client shepherds merge to
+/// the same totals as the deterministic DES run of the same workload (ops
+/// and cross-ops counts are placement-determined, so they must agree
+/// exactly; the applied/failed split must sum to issued).
 #[test]
-fn threaded_registry_totals_match_des() {
+fn tcp_registry_totals_match_des() {
     let e = home2(Protocol::Cx);
     let des = e.run();
     assert!(des.is_consistent());
@@ -151,8 +151,12 @@ fn threaded_registry_totals_match_des() {
     let live = LiveMetrics::new(MetricRegistry::new());
     let registry = live.registry.clone();
     let st = e.workload.stream(&e.cfg);
-    let res = ThreadedCluster::run_stream_live(e.cfg.clone(), st, ObsSink::Off, live);
-    assert!(res.violations.is_empty(), "threaded run inconsistent");
+    let opts = TcpOptions {
+        live: Some(live),
+        ..TcpOptions::default()
+    };
+    let res = TcpCluster::run_stream_opts(e.cfg.clone(), st, opts);
+    assert!(res.violations.is_empty(), "TCP run inconsistent");
 
     let snap = registry.snapshot();
     let v = |name: &str| snap.value(name).unwrap_or(0);
@@ -162,8 +166,8 @@ fn threaded_registry_totals_match_des() {
         v("cx_ops_applied_total") + v("cx_ops_failed_total"),
         v("cx_ops_issued_total")
     );
-    // The engines' protocol series were folded in at stop: the threaded
-    // run launches commitment rounds too, and each round left exactly
+    // The engines' protocol series were folded in at stop: the TCP run
+    // launches commitment rounds too, and each round left exactly
     // one batch-size sample.
     assert_eq!(
         v("cx_immediate_commitments_total") + v("cx_batched_commitments_total"),

@@ -100,16 +100,20 @@ fn cx_spans_close_all_opened_phases() {
     assert!(sink.stuck_report().is_empty());
 }
 
-/// The threaded runtime carries the same sink: a recording run under
-/// real concurrency stays consistent and the recorder observes every
-/// issued op (wall-clock stamps jitter, so only counts are asserted).
+/// The TCP runtime carries the same sink: a recording run under real
+/// concurrency stays consistent and the recorder observes every issued
+/// op (wall-clock stamps jitter, so only counts are asserted).
 #[test]
-fn threaded_runtime_records_through_the_same_sink() {
+fn tcp_runtime_records_through_the_same_sink() {
     let e = home2(Protocol::Cx);
     let sink = ObsSink::recording("cx");
     let st = e.workload.stream(&e.cfg);
-    let res = cx_cluster::ThreadedCluster::run_stream_obs(e.cfg.clone(), st, sink.clone());
-    assert!(res.violations.is_empty(), "threaded run inconsistent");
+    let opts = cx_cluster::TcpOptions {
+        obs: sink.clone(),
+        ..cx_cluster::TcpOptions::default()
+    };
+    let res = cx_cluster::TcpCluster::run_stream_opts(e.cfg.clone(), st, opts);
+    assert!(res.violations.is_empty(), "TCP run inconsistent");
     let report = sink.report().expect("report");
     assert_eq!(report.ops_issued, res.stats.ops_total);
     assert_eq!(report.client_all.count, res.stats.ops_total);
