@@ -18,9 +18,12 @@
 //!    path must hold peak memory flat where the materialized path pays
 //!    for the whole op vector.
 //!
-//! 5. `home2_replay_8s_p{N}` (with `--partitions N`) — the home2 replay
-//!    on the partitioned parallel kernel, measured at `p1` and `pN` on
-//!    the same streaming intake so the ratio isolates the kernel.
+//! 5. `home2_replay_8s_p{1,N}` and `metarates_update_32s_p{1,N}` (with
+//!    `--partitions N`) — the home2 replay and the 32-server
+//!    update-dominated Metarates run on the partitioned kernel at P=1 and
+//!    P=N, on the same streaming intake so the ratio isolates the kernel.
+//!    The two sides alternate run by run; the per-pair speedup prints
+//!    with its min/median/max (`--filter _p` selects just these pairs).
 //!
 //! 6. `home2_tcp_loopback_8s` / `home2_tcp_multiproc_8s` (with `--net
 //!    tcp`) — the home2 prefix on the real-socket runtime (`cx-net`,
@@ -35,12 +38,12 @@
 //!
 //! Every entry records `peak_rss_kb` (VmHWM, reset per entry); wall-clock
 //! entries that complete client ops (the net modes) record `ops_per_sec`
-//! instead of a zero event rate. Results
-//! merge into `BENCH_PR10.json` at the repo root, keyed by `--label`
-//! (e.g. `--label before` / `--label after`), so optimization PRs commit
-//! both sides of the comparison with the same binary. After the table, a
-//! comparison against the most recent other `BENCH_PR*.json` prints
-//! in-run, so drift is visible without waiting for the `ci.sh` gate.
+//! instead of a zero event rate. Results merge into `--out` (default
+//! `target/bench/perf_baseline.json`; the committed `BENCH_PR*.json`
+//! files at the repo root are frozen history), keyed by `--label` (e.g.
+//! `--label before` / `--label after`), so both sides of a comparison
+//! land in one report. After the table, a comparison against the most
+//! recent other `BENCH_PR*.json` next to `--out` prints in-run.
 //!
 //! `--smoke` runs none of the basket: it replays the golden-digest
 //! scenario through both intakes plus `--partitions 1` and asserts the
@@ -78,8 +81,8 @@
 //!
 //! `--against other.json` (with the basket) compares this run's home2
 //! events/sec to the best rate in another report and fails below
-//! `--tolerance` (default 0.80) — the `BENCH_PR4.json` vs
-//! `BENCH_PR3.json` no-regression gate in `ci.sh`.
+//! `--tolerance` (default 0.80) — the no-regression gate `ci.sh` runs
+//! against the committed `BENCH_PR3.json`.
 //!
 //! Usage: `perf_baseline --label after [--iters 3] [--scale 0.05]
 //!         [--filter home2] [--out path.json] [--smoke]
@@ -255,6 +258,46 @@ fn measure(name: &str, iters: u32, mut run: impl FnMut() -> (u64, u64)) -> Entry
     }
 }
 
+/// Time two sides of an A/B pair alternately, `iters` runs each, with
+/// the side that goes first swapping every pair: `run` gets the side
+/// index (0 or 1). Returns both entries (best-of, like [`measure`]; peak
+/// RSS is the pair's shared high-water mark) plus every pair's
+/// side-1/side-0 wall-clock speedup.
+fn measure_interleaved(
+    names: &[String; 2],
+    iters: u32,
+    mut run: impl FnMut(usize) -> (u64, u64),
+) -> ([Entry; 2], Vec<f64>) {
+    cx_bench::reset_peak_rss();
+    let mut best = [f64::INFINITY; 2];
+    let mut last = [(0, 0); 2];
+    let mut ratios = Vec::with_capacity(iters as usize);
+    for i in 0..iters as usize {
+        let mut secs = [0.0; 2];
+        for side in [i % 2, 1 - i % 2] {
+            let t0 = Instant::now();
+            last[side] = run(side);
+            secs[side] = t0.elapsed().as_secs_f64();
+            best[side] = best[side].min(secs[side]);
+        }
+        ratios.push(secs[0] / secs[1]);
+    }
+    let peak_rss_kb = Some(cx_bench::peak_rss_kb()).filter(|&kb| kb > 0);
+    let entry = |side: usize| {
+        let (events, ops_total) = last[side];
+        Entry {
+            name: names[side].clone(),
+            wall_secs: best[side],
+            events,
+            events_per_sec: events as f64 / best[side],
+            ops_total,
+            ops_per_sec: None,
+            peak_rss_kb,
+        }
+    };
+    ([entry(0), entry(1)], ratios)
+}
+
 /// Golden-digest gate: the pinned home2 scenario must replay to the
 /// digest `tests/determinism_and_recovery.rs` pins, through both the
 /// streaming and the materialized intake. Panics (non-zero exit) on any
@@ -285,7 +328,7 @@ fn smoke() {
         "smoke: materialized-intake digest drifted from the golden pin"
     );
 
-    // `--partitions 1` is contractually the plain single-threaded path.
+    // `--partitions 1` is the same one-partition driver `run` takes.
     let p1 = e.run_partitioned(1);
     assert_eq!(
         p1.stats.digest(),
@@ -829,9 +872,13 @@ fn main() {
     let iters: u32 = args.value("--iters").unwrap_or(3).max(1);
     let scale = args.scale(0.05);
     let filter: Option<String> = args.value("--filter");
-    let out: String = args
-        .value("--out")
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json").into());
+    let out: String = args.value("--out").unwrap_or_else(|| {
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/bench/perf_baseline.json"
+        )
+        .into()
+    });
     let wants = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
 
     let mut entries = Vec::new();
@@ -851,40 +898,49 @@ fn main() {
         }));
     }
 
-    // `--partitions N`: measure the partitioned (parallel) kernel against
-    // the single-threaded one on the same intake. Both sides stream the
-    // workload (generation interleaves with the replay identically), so
-    // the pN/p1 ratio isolates the kernel, not the intake.
+    // `--partitions N`: measure the partitioned (parallel) kernel at P=1
+    // and P=N on two scenarios — lookup-heavy home2 on 8 servers, and
+    // update-dominated Metarates on 32 servers (409,600 ops), where
+    // lookahead windows are dense. Both sides stream the workload
+    // (generation interleaves with the replay identically), so the pN/p1
+    // ratio isolates the kernel, not the intake. The two sides alternate
+    // run by run, so machine drift lands on both, and every pair's ratio
+    // is printed with its spread.
     if let Some(parts) = args.value::<u32>("--partitions") {
-        let e = Experiment::new(Workload::trace("home2").scale(scale))
-            .servers(8)
-            .protocol(Protocol::Cx);
-        for n in [1, parts] {
-            let name = format!("home2_replay_8s_p{n}");
-            if !wants(&name) {
+        let scenarios = [
+            (
+                "home2_replay_8s",
+                Experiment::new(Workload::trace("home2").scale(scale)).servers(8),
+            ),
+            (
+                "metarates_update_32s",
+                Experiment::new(Workload::metarates(MetaratesMix::UpdateDominated)).servers(32),
+            ),
+        ];
+        for (base, e) in scenarios {
+            let names = [format!("{base}_p1"), format!("{base}_p{parts}")];
+            if !names.iter().any(|n| wants(n)) {
                 continue;
             }
-            entries.push(measure(&name, iters, || {
-                let r = e.run_partitioned(n);
-                assert!(r.is_consistent(), "partitioned home2 replay dirty");
+            let e = e.protocol(Protocol::Cx);
+            let (pair, mut ratios) = measure_interleaved(&names, iters, |side| {
+                let r = e.run_partitioned([1, parts][side]);
+                assert!(r.is_consistent(), "partitioned {base} replay dirty");
                 (r.stats.events, r.stats.ops_total)
-            }));
-        }
-        let rate_of = |suffix: &str| {
-            entries
-                .iter()
-                .find(|en| en.name == format!("home2_replay_8s_p{suffix}"))
-                .map(|en| en.events_per_sec)
-        };
-        if let (Some(p1), Some(pn)) = (rate_of("1"), rate_of(&parts.to_string())) {
+            });
+            ratios.sort_by(f64::total_cmp);
             println!(
-                "home2 partitioned speedup: p{parts} {:.0} ev/s vs p1 {:.0} ev/s = {:.2}x \
+                "{base} partitioned speedup: p{parts} {:.0} ev/s vs p1 {:.0} ev/s (best of \
+                 {iters}); per-pair p{parts}/p1 min {:.2}x median {:.2}x max {:.2}x \
                  ({} hardware threads available)",
-                pn,
-                p1,
-                pn / p1,
+                pair[1].events_per_sec,
+                pair[0].events_per_sec,
+                ratios[0],
+                ratios[ratios.len() / 2],
+                ratios[ratios.len() - 1],
                 std::thread::available_parallelism().map_or(1, |n| n.get())
             );
+            entries.extend(pair);
         }
     }
 
@@ -1110,6 +1166,9 @@ fn main() {
     }
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("create the report directory");
+    }
     std::fs::write(&out, json + "\n").expect("write benchmark report");
     println!("[json: {out}]  (label: {label})");
 

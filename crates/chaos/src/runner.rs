@@ -111,7 +111,8 @@ pub fn run_plan_flight(
 /// [`run_plan_flight`] on the partitioned (parallel) simulator: the
 /// cluster splits over `parts` worker threads, while the plan's injector
 /// stays the single global fault authority behind one mutex
-/// (`cx_cluster::par`). `parts <= 1` is exactly [`run_plan_flight`].
+/// (`cx_cluster::par`). `parts == 1` is exactly [`run_plan_flight`]:
+/// both drive the same one-partition kernel.
 ///
 /// Errors (without running) if the plan contains a matcher whose result
 /// would be order-dependent across partition threads — see

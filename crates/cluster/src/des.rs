@@ -15,10 +15,14 @@
 //! The run replays a [`Trace`]: each process issues its operations
 //! synchronously (closed loop); "replay time" is the virtual time at which
 //! the last operation response arrives, matching the paper's metric.
+//!
+//! Every run goes through one driver: a `DesCluster` simulates one
+//! partition of the cluster ([`crate::par`]), and the sequential run is
+//! partition 0 of 1.
 
 use crate::fault::{ClusterSnapshot, CrashCmd, FaultEvent, FaultInjector, MsgFate};
 use crate::feed::OpFeed;
-use crate::par::{NetEnvelope, PartCtx};
+use crate::par::{self, NetEnvelope, PartCtx};
 use crate::stats::{AckRecord, RecoveryCycle, RunStats, TimelineSample};
 use cx_mdstore::{GlobalView, Violation};
 use cx_obs::flow::MsgKind as FlowKind;
@@ -178,10 +182,10 @@ pub struct DesCluster {
     /// threads; per-process subsequences are invariant under pull
     /// interleaving (the feed contract), so sharing keeps determinism.
     /// Single-threaded runs pay one uncontended lock per issued op.
-    feed: Arc<Mutex<OpFeed>>,
+    pub(crate) feed: Arc<Mutex<OpFeed>>,
     sim: Sim<Ev>,
-    stats: RunStats,
-    roots: Vec<cx_types::InodeNo>,
+    pub(crate) stats: RunStats,
+    pub(crate) roots: Vec<cx_types::InodeNo>,
     active_procs: u32,
     sample_every_ns: u64,
     next_sample: SimTime,
@@ -200,7 +204,7 @@ pub struct DesCluster {
     /// The fault plane; `None` on uninstrumented runs. Arc+Mutex so
     /// partitioned chaos runs share one injector (the global fault
     /// authority) across worker threads.
-    injector: Option<Arc<Mutex<Box<dyn FaultInjector>>>>,
+    pub(crate) injector: Option<Arc<Mutex<Box<dyn FaultInjector>>>>,
     /// Crash requested by the injector during the current event; executed
     /// once the event finishes dispatching (first request wins).
     pending_crash: Option<CrashCmd>,
@@ -225,18 +229,17 @@ pub struct DesCluster {
     /// Observability sink. `Off` (the default) makes every emission a
     /// single-branch no-op; recording never schedules events or touches
     /// protocol state, so the golden digest is identical either way.
-    obs: ObsSink,
+    pub(crate) obs: ObsSink,
     /// Always-on crash flight recorder: a fixed-size ring of recent
     /// message edges and lifecycle events, fed even when `obs` is `Off`,
     /// so a post-mortem can be dumped after a crash, a stuck op, or a
     /// failed oracle check. `None` (the default) costs nothing.
-    flight: Option<FlightRecorder>,
-    /// Partition context when this cluster instance is one worker of a
-    /// partitioned run (`crate::par`): which servers/procs are local, the
-    /// cross-partition mailbox, and the sync barrier. `None` — the
-    /// default — is the plain single-threaded cluster, bit-identical to
-    /// the pre-partitioning behavior.
-    part: Option<PartCtx>,
+    pub(crate) flight: Option<FlightRecorder>,
+    /// Which partition of the run this instance simulates
+    /// (`crate::par`): which servers/procs are local, the
+    /// cross-partition mailbox, and the sync barrier. The sequential
+    /// simulator is partition 0 of 1.
+    pub(crate) part: PartCtx,
 }
 
 impl DesCluster {
@@ -249,44 +252,31 @@ impl DesCluster {
     /// (seeds, roots, process count) is consumed eagerly, operations are
     /// pulled on demand as processes issue them.
     pub fn new_stream(cfg: ClusterConfig, st: StreamTrace) -> Self {
-        let StreamTrace {
-            name: _,
-            processes,
-            seeds,
-            roots,
-            total_ops_hint,
-            ops,
-        } = st;
-        let feed = Arc::new(Mutex::new(OpFeed::new(ops, processes, total_ops_hint)));
-        Self::build(cfg, processes, &seeds, roots, feed, None)
+        par::build_partitions(cfg, st, 1)
+            .pop()
+            .expect("one partition")
     }
 
-    /// Shared constructor: the single-threaded path passes `part: None`;
-    /// `crate::par` builds P instances over one shared feed, each with its
-    /// own [`PartCtx`]. Only nodes local to the partition are seeded and
-    /// booted — remote engines exist (dense indexing stays trivial) but
-    /// never receive an event, hold no namespace rows, and merge as zero.
+    /// Shared constructor: `crate::par` builds P instances over one
+    /// shared feed, each with its own [`PartCtx`]. Only nodes local to
+    /// the partition are seeded and booted — remote engines exist (dense
+    /// indexing stays trivial) but never receive an event, hold no
+    /// namespace rows, and merge as zero.
     pub(crate) fn build(
         cfg: ClusterConfig,
         processes: u32,
         seeds: &[SeedEntry],
         roots: Vec<cx_types::InodeNo>,
         feed: Arc<Mutex<OpFeed>>,
-        part: Option<PartCtx>,
+        part: PartCtx,
     ) -> Self {
         let placement = Placement::new(cfg.servers);
         let mut servers: Vec<Box<dyn ServerEngine>> = (0..cfg.servers)
             .map(|i| cx_protocol::make_server(ServerId(i), &cfg))
             .collect();
 
-        let local_server = |s: ServerId| match &part {
-            Some(p) => p.pmap.server_part(s.0) == p.me,
-            None => true,
-        };
-        let local_proc = |i: u32| match &part {
-            Some(p) => p.pmap.proc_part(i) == p.me,
-            None => true,
-        };
+        let local_server = |s: ServerId| part.servers.contains(&(s.0 as usize));
+        let local_proc = |i: u32| part.pmap.proc_part(i) == part.me;
 
         // Seed the initial namespace (each row seeded exactly once across
         // all partitions: rows live where their server is local).
@@ -385,26 +375,17 @@ impl DesCluster {
     }
 
     /// Dense indices of the servers this instance simulates (all of them
-    /// when not partitioned).
+    /// at P=1).
     fn local_servers(&self) -> Range<usize> {
-        match &self.part {
-            Some(p) => p.pmap.server_range(p.me),
-            None => 0..self.servers.len(),
-        }
+        self.part.servers.clone()
     }
 
     fn is_local_server(&self, s: u32) -> bool {
-        match &self.part {
-            Some(p) => p.pmap.server_part(s) == p.me,
-            None => true,
-        }
+        self.part.servers.contains(&(s as usize))
     }
 
     fn is_local_proc(&self, i: u32) -> bool {
-        match &self.part {
-            Some(p) => p.pmap.proc_part(i) == p.me,
-            None => true,
-        }
+        self.part.pmap.proc_part(i) == self.part.me
     }
 
     /// Install an observability sink: the run records op-lifecycle spans,
@@ -437,18 +418,20 @@ impl DesCluster {
     /// Install a fault injector. Message sends and protocol events route
     /// through it, and the per-op issue/ack logs the oracle needs are
     /// recorded. Use [`DesCluster::run_chaos`] afterwards.
-    pub fn with_injector(mut self, injector: Box<dyn FaultInjector>) -> Self {
-        self.injector = Some(Arc::new(Mutex::new(injector)));
-        self.record_ops = true;
-        self
+    pub fn with_injector(self, injector: Box<dyn FaultInjector>) -> Self {
+        self.with_shared_injector(Arc::new(Mutex::new(injector)))
     }
 
     /// Share an already-wrapped injector (partitioned chaos runs: every
     /// partition feeds the same global injector through its own lock
     /// handle).
-    pub(crate) fn install_shared_injector(&mut self, injector: Arc<Mutex<Box<dyn FaultInjector>>>) {
+    pub(crate) fn with_shared_injector(
+        mut self,
+        injector: Arc<Mutex<Box<dyn FaultInjector>>>,
+    ) -> Self {
         self.injector = Some(injector);
         self.record_ops = true;
+        self
     }
 
     /// Boot the servers and schedule the first client issues (process
@@ -495,25 +478,47 @@ impl DesCluster {
     }
 
     /// Run the replay to completion and return the statistics.
-    pub fn run(mut self) -> (RunStats, Vec<Violation>) {
+    pub fn run(self) -> (RunStats, Vec<Violation>) {
+        par::finish_replay(&mut [self])
+    }
+
+    /// Run a fault-injected replay to completion: like [`DesCluster::run`],
+    /// but crashes can repeat, the namespace check is gated on quiescence,
+    /// and the injector's oracle output is part of the result.
+    pub fn run_chaos(self) -> ChaosOutcome {
+        assert!(self.injector.is_some(), "install with_injector first");
+        par::finish_chaos(&mut [self])
+    }
+
+    /// Drive this partition through boot → event loop → drain →
+    /// finalize. `crate::par` calls it inline for a lone partition and on
+    /// one worker thread per partition otherwise; every barrier phase
+    /// here lines up with the same phase on every sibling.
+    pub(crate) fn run_partition(&mut self) {
         self.boot();
         self.event_loop();
         self.drain();
         self.stats.drained = self.sim.now();
         self.finalize();
-
-        let violations =
-            GlobalView::merge(self.servers.iter().map(|s| s.store())).check(&self.roots);
-        (self.stats, violations)
     }
 
-    /// Natural drain finished; force the remaining lazy work.
+    /// Natural drain finished; force the remaining lazy work. Rounds are
+    /// collective (a partition with nothing to flush still attends every
+    /// vote), and each round's cross-partition quiesce traffic is
+    /// exchanged before the event loop runs it.
     fn drain(&mut self) {
         for _ in 0..16 {
-            if self.local_quiesced() {
+            let dirty = !self.local_quiesced();
+            let (g, abort) = self.part.vote(if dirty { 0 } else { u64::MAX });
+            if abort || g == u64::MAX {
                 break;
             }
             self.quiesce_round();
+            // All quiesce-generated mail must be posted (and drained)
+            // before any partition votes its next-event time.
+            if self.exchange_mail() {
+                break;
+            }
             self.event_loop();
         }
     }
@@ -538,83 +543,12 @@ impl DesCluster {
     }
 
     /// Whether every *local* server drained all pending protocol state
-    /// (equals the global check on unpartitioned runs).
+    /// (the global check at P=1).
     pub(crate) fn local_quiesced(&self) -> bool {
         self.in_fault == 0 && self.local_servers().all(|i| self.servers[i].is_quiesced())
     }
 
-    /// Run a fault-injected replay to completion: like [`DesCluster::run`],
-    /// but crashes can repeat, the namespace check is gated on quiescence,
-    /// and the injector's oracle output is part of the result.
-    pub fn run_chaos(mut self) -> ChaosOutcome {
-        assert!(self.injector.is_some(), "install with_injector first");
-        self.boot();
-        self.event_loop();
-        self.drain();
-        self.stats.drained = self.sim.now();
-        // Faults can wedge clients forever (a dropped message with no
-        // retransmission); surface that instead of hanging.
-        let in_flight: u64 = self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-        let stuck = self.feed.lock().expect("op feed").remaining() + in_flight;
-        self.stats.ops_stuck = self.stats.ops_stuck.max(stuck);
-        self.finalize();
-
-        let quiesced = self.local_quiesced();
-        let view = GlobalView::merge(self.servers.iter().map(|s| s.store()));
-        let violations = if quiesced {
-            view.check(&self.roots)
-        } else {
-            Vec::new()
-        };
-        let mut oracle_report = Vec::new();
-        if let Some(inj) = self.injector.take() {
-            let mut inj = inj.lock().expect("injector");
-            let snap = ClusterSnapshot {
-                stores: self.servers.iter().map(|s| s.store()).collect(),
-                acks: &self.acks,
-                issued: &self.issued,
-            };
-            let v = inj.on_run_end(self.sim.now(), quiesced, snap);
-            self.stats.faults.oracle_checks += 1;
-            self.stats.faults.oracle_violations += v;
-            oracle_report = inj.take_report();
-        }
-        ChaosOutcome {
-            stats: self.stats,
-            violations,
-            oracle_report,
-            quiesced,
-            acks: self.acks,
-            issued: self.issued,
-            view,
-        }
-    }
-
-    fn event_loop(&mut self) {
-        while let Some((now, _, ev)) = self.sim.pop() {
-            if now >= self.next_sample {
-                self.sample_timeline(now);
-            }
-            self.dispatch(now, ev);
-            if self.injector.is_some() {
-                self.probe_all(now);
-                self.fire_pending_crash();
-            }
-            self.check_fault_progress();
-            if self.stop_after_first_cycle && !self.stats.recovery_cycles.is_empty() {
-                break;
-            }
-            if self.sim.events_processed() > self.max_events {
-                // hang protection: record and bail
-                let in_flight: u64 = self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-                self.stats.ops_stuck = self.feed.lock().expect("op feed").remaining() + in_flight;
-                break;
-            }
-        }
-        self.stats.events = self.sim.events_processed();
-    }
-
-    /// The partitioned event loop: conservative barrier windows.
+    /// The event loop: conservative barrier windows.
     ///
     /// Each iteration (a *window*):
     /// 1. every partition votes its local next-event time; the barrier
@@ -629,20 +563,20 @@ impl DesCluster {
     /// 3. a second barrier ends the posting phase; each partition then
     ///    drains its mailbox in deterministic `(at, src, seq)` order.
     ///
+    /// At P=1 the window is infinite and the votes never wait, so the
+    /// first window runs the whole queue dry.
+    ///
     /// The horizon is agreed *before* processing (not derived from local
     /// clocks) so partitions re-entering from a drain round with skewed
     /// local times still process against one global window. The hang cap
     /// turns into a collective abort: the capped partition records its
     /// local in-flight ops and flags the barrier; every partition
     /// observes the flag at the same phase and stops at the same window.
-    fn event_loop_windowed(&mut self) {
-        let (barrier, window) = {
-            let p = self.part.as_ref().expect("windowed loop needs a partition");
-            (Arc::clone(&p.barrier), p.window_ns)
-        };
-        loop {
+    fn event_loop(&mut self) {
+        let window = self.part.window_ns;
+        'windows: loop {
             let local_next = self.sim.peek_time().map_or(u64::MAX, |t| t.0);
-            let (gmin, abort) = barrier.wait_min(local_next);
+            let (gmin, abort) = self.part.vote(local_next);
             if abort || gmin == u64::MAX {
                 break;
             }
@@ -657,32 +591,32 @@ impl DesCluster {
                     self.fire_pending_crash();
                 }
                 self.check_fault_progress();
+                if self.stop_after_first_cycle && !self.stats.recovery_cycles.is_empty() {
+                    break 'windows;
+                }
                 if self.sim.events_processed() > self.max_events {
                     // Hang protection. Only local in-flight ops are
-                    // recorded here; the coordinator charges the shared
-                    // feed's remainder once, globally.
-                    let in_flight: u64 =
-                        self.procs.iter().map(|p| p.current.is_some() as u64).sum();
-                    self.stats.ops_stuck = in_flight;
-                    barrier.set_abort();
+                    // recorded here; the end of the run charges the
+                    // shared feed's remainder once, globally.
+                    self.stats.ops_stuck = self.local_in_flight();
+                    self.part.barrier.set_abort();
                     break;
                 }
             }
             // Posting phase over everywhere; exchange this window's mail.
-            barrier.wait_min(u64::MAX);
-            self.drain_inbox();
+            self.exchange_mail();
         }
         self.stats.events = self.sim.events_processed();
     }
 
-    /// Move this window's inbound cross-partition messages into the local
-    /// kernel, in the mailbox's deterministic merge order.
-    fn drain_inbox(&mut self) {
-        let Some(p) = self.part.as_mut() else { return };
-        let me = p.me;
-        let mailbox = Arc::clone(&p.mailbox);
+    /// End the posting phase everywhere, then move this window's inbound
+    /// cross-partition messages into the local kernel, in the mailbox's
+    /// deterministic merge order. Returns the collective abort flag.
+    fn exchange_mail(&mut self) -> bool {
+        let (_, abort) = self.part.vote(u64::MAX);
+        let p = &mut self.part;
         let mut inbox = std::mem::take(&mut p.inbox);
-        mailbox.drain(me, &mut inbox);
+        p.mailbox.drain(p.me, &mut inbox);
         for cev in inbox.drain(..) {
             // Lookahead guarantee: every arrival is at or beyond the next
             // window's horizon, so scheduling never clamps to `now`.
@@ -709,53 +643,13 @@ impl DesCluster {
                 ),
             }
         }
-        self.part.as_mut().expect("partitioned").inbox = inbox;
+        self.part.inbox = inbox;
+        abort
     }
 
-    /// Partitioned counterpart of [`DesCluster::drain`]: rounds are
-    /// collective (a partition with nothing to flush still attends every
-    /// barrier), and each round's cross-partition quiesce traffic is
-    /// exchanged before the windowed loop runs it.
-    fn drain_partitioned(&mut self) {
-        let barrier = Arc::clone(&self.part.as_ref().expect("partitioned").barrier);
-        for _ in 0..16 {
-            let dirty = !self.local_quiesced();
-            let (g, abort) = barrier.wait_min(if dirty { 0 } else { u64::MAX });
-            if abort || g == u64::MAX {
-                break;
-            }
-            self.quiesce_round();
-            // All quiesce-generated mail must be posted (and drained)
-            // before any partition votes its next-event time.
-            let (_, abort) = barrier.wait_min(u64::MAX);
-            self.drain_inbox();
-            if abort {
-                break;
-            }
-            self.event_loop_windowed();
-        }
-    }
-
-    /// Drive one partition of a partitioned run to completion. Called on
-    /// a worker thread by `crate::par`; every barrier phase here lines up
-    /// with the same phase on every sibling partition.
-    pub(crate) fn run_partition(&mut self) {
-        assert!(self.part.is_some(), "run_partition needs a PartCtx");
-        self.boot();
-        self.event_loop_windowed();
-        self.drain_partitioned();
-        self.stats.drained = self.sim.now();
-        self.finalize();
-    }
-
-    /// Local client ops still in flight (coordinator-side stuck-op math).
+    /// Local client ops still in flight (stuck-op accounting).
     pub(crate) fn local_in_flight(&self) -> u64 {
         self.procs.iter().map(|p| p.current.is_some() as u64).sum()
-    }
-
-    /// The partition's final stats, read by the coordinator merge.
-    pub(crate) fn stats_ref(&self) -> &RunStats {
-        &self.stats
     }
 
     /// Stores of the servers this partition owns, in global server order.
@@ -763,7 +657,8 @@ impl DesCluster {
         self.local_servers().map(|i| self.servers[i].store())
     }
 
-    /// Hand the per-op issue/ack logs to the coordinator (chaos oracle).
+    /// Hand the per-op issue/ack logs to the end-of-run merge (chaos
+    /// oracle).
     pub(crate) fn take_op_logs(&mut self) -> (Vec<AckRecord>, Vec<(OpId, FsOp)>) {
         (
             std::mem::take(&mut self.acks),
@@ -1111,12 +1006,12 @@ impl DesCluster {
         self.writebacks_seen[idx] = self.servers[idx].stats().writebacks;
     }
 
-    /// Run the injector's oracle after a recovery completed. Skipped on
-    /// partitioned runs: a partition sees only its local stores and acks,
-    /// so mid-run whole-cluster assertions would be vacuously wrong — the
-    /// coordinator runs one global end-of-run pass instead.
+    /// Run the injector's oracle after a recovery completed. Skipped when
+    /// P > 1: a partition sees only its local stores and acks, so mid-run
+    /// whole-cluster assertions would be vacuously wrong — the end of the
+    /// run makes one global oracle pass instead.
     fn oracle_check(&mut self, now: SimTime, server: ServerId) {
-        if self.part.is_some() {
+        if self.part.pmap.parts > 1 {
             return;
         }
         let Some(inj) = self.injector.clone() else {
@@ -1403,7 +1298,9 @@ impl DesCluster {
         // `(at, src, seq)` merge order — at its next window boundary; the
         // arrival time can never predate that boundary because the window
         // width is the minimum message latency.
-        if let Some(p) = self.part.as_mut() {
+        // A lone partition owns every endpoint: no placement lookup.
+        if self.part.pmap.parts > 1 {
+            let p = &mut self.part;
             let dst = match to {
                 Endpoint::Server(s) => p.pmap.server_part(s.0),
                 Endpoint::Proc(pid) => p.pmap.proc_part(pid.client.0),
@@ -1473,27 +1370,6 @@ impl DesCluster {
         for (kind, &n) in MsgKind::ALL.iter().zip(&self.msg_counts) {
             if n > 0 {
                 self.stats.msgs.insert(*kind, n);
-            }
-        }
-        // Structured hang diagnostics: the recorder's live-op map names the
-        // exact stalled phase for every op still short of its reply. The
-        // obs sink is shared across partitions, so on partitioned runs the
-        // coordinator reads the (global) report once instead of every
-        // partition duplicating it.
-        if self.part.is_none() {
-            self.stats.stuck_ops = self.obs.stuck_report();
-            self.stats.blame = self.obs.blame_table();
-            if let Some(fl) = &self.flight {
-                let now = self.sim.now();
-                for s in &self.stats.stuck_ops {
-                    fl.push(
-                        now.0,
-                        FlightEvent::Stuck {
-                            op: s.op,
-                            phase: s.phase,
-                        },
-                    );
-                }
             }
         }
         for i in self.local_servers() {

@@ -1,11 +1,17 @@
-//! Partitioned (parallel) DES execution.
+//! Partitioned DES execution — the one driver every DES run goes through.
 //!
-//! Splits one cluster simulation across P worker threads. Each partition
+//! Splits one cluster simulation across P partitions. Each partition
 //! owns a contiguous slice of the servers plus a slice of the client
 //! processes, runs its own timing-wheel kernel and virtual clock, and
 //! synchronizes with its siblings only at *window* boundaries
 //! (conservative PDES with lookahead — see `cx_sim::partition` and
-//! `DesCluster::event_loop_windowed` for the two-barrier window protocol).
+//! `DesCluster::event_loop` for the two-barrier window protocol).
+//!
+//! The sequential simulator is this kernel at P=1: one partition owning
+//! every node, an infinite window, and a one-slot mailbox and barrier.
+//! It runs inline on the caller's thread, never waits on the barrier,
+//! and takes no per-send partition lookup, so it costs what a dedicated
+//! sequential loop would and reproduces the golden digest bit-for-bit.
 //!
 //! ## Lookahead
 //!
@@ -27,11 +33,10 @@
 //! * cross-partition mail merges in `(arrival time, source partition,
 //!   source sequence)` order — no wall-clock anywhere.
 //!
-//! `parts == 1` takes the single-threaded path unchanged and reproduces
-//! the golden digest bit-for-bit. `parts > 1` preserves every *total*
-//! (ops, conflicts, commitments, WAL records) but may order same-tick
-//! events differently than the single-threaded kernel, so the digest is
-//! stable per `(seed, parts)` rather than across partition counts.
+//! `parts > 1` preserves every *total* (ops, conflicts, commitments, WAL
+//! records) but may order same-tick events differently than one
+//! partition does, so the digest is stable per `(seed, parts)` rather
+//! than across partition counts.
 
 use crate::des::{ChaosOutcome, DesCluster};
 use crate::fault::{ClusterSnapshot, FaultInjector};
@@ -43,6 +48,7 @@ use cx_protocol::Endpoint;
 use cx_sim::{CrossEvent, Mailbox, PartitionBarrier};
 use cx_types::{ClusterConfig, Payload};
 use cx_workloads::StreamTrace;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Pure-arithmetic node → partition placement. Servers and processes are
@@ -101,14 +107,20 @@ pub(crate) struct NetEnvelope {
     pub payload: Payload,
 }
 
-/// Everything a `DesCluster` instance needs to act as one partition of a
-/// partitioned run.
+/// Which part of the cluster a `DesCluster` instance simulates. Every
+/// instance has one: the sequential simulator is partition 0 of 1, with
+/// every node local, an infinite window, and a one-slot mailbox and
+/// barrier that it never waits on.
 pub(crate) struct PartCtx {
     /// This partition's index.
     pub me: u32,
     pub pmap: PartitionMap,
-    /// Conservative lookahead window (ns) — the minimum cross-partition
-    /// message latency, i.e. `cfg.net.one_way_ns`.
+    /// Dense indices of the servers this partition owns (cached: the
+    /// fault probes walk it after every event).
+    pub servers: Range<usize>,
+    /// Conservative lookahead window (ns): the minimum cross-partition
+    /// message latency, i.e. `cfg.net.one_way_ns`. `u64::MAX` at P=1,
+    /// where there is no one to wait for.
     pub window_ns: u64,
     pub mailbox: Arc<Mailbox<NetEnvelope>>,
     pub barrier: Arc<PartitionBarrier>,
@@ -118,6 +130,19 @@ pub(crate) struct PartCtx {
     pub inbox: Vec<CrossEvent<NetEnvelope>>,
 }
 
+impl PartCtx {
+    /// The global minimum of every partition's `v`, plus the collective
+    /// abort flag. A lone partition is its own reduction and never waits
+    /// on the barrier.
+    pub fn vote(&self, v: u64) -> (u64, bool) {
+        if self.pmap.parts == 1 {
+            (v, self.barrier.aborted())
+        } else {
+            self.barrier.wait_min(v)
+        }
+    }
+}
+
 // The partition workers move `DesCluster` values across threads; keep the
 // whole runtime `Send` by construction (e.g. no `Rc`, injector is `Send`).
 const _: fn() = || {
@@ -125,12 +150,9 @@ const _: fn() = || {
     assert_send::<DesCluster>();
 };
 
-/// Build the P partition clusters over one shared feed/mailbox/barrier.
-fn build_partitions(
-    cfg: &ClusterConfig,
-    st: StreamTrace,
-    parts: u32,
-) -> (Vec<DesCluster>, Arc<Mutex<OpFeed>>, Arc<PartitionBarrier>) {
+/// Build the partition clusters over one shared feed, mailbox and
+/// barrier. `parts` 0 and 1 both build the sequential simulator.
+pub(crate) fn build_partitions(cfg: ClusterConfig, st: StreamTrace, parts: u32) -> Vec<DesCluster> {
     let StreamTrace {
         name: _,
         processes,
@@ -139,13 +161,20 @@ fn build_partitions(
         total_ops_hint,
         ops,
     } = st;
-    let window_ns = cfg.net.one_way_ns;
-    assert!(window_ns > 0, "partitioned runs need a nonzero net latency");
-    let pmap = PartitionMap::new(cfg.servers, processes, parts);
+    let pmap = PartitionMap::new(cfg.servers, processes, parts.max(1));
+    let window_ns = if pmap.parts == 1 {
+        u64::MAX
+    } else {
+        assert!(
+            cfg.net.one_way_ns > 0,
+            "partitioned runs need a nonzero net latency"
+        );
+        cfg.net.one_way_ns
+    };
     let feed = Arc::new(Mutex::new(OpFeed::new(ops, processes, total_ops_hint)));
-    let mailbox = Arc::new(Mailbox::new(parts as usize));
-    let barrier = Arc::new(PartitionBarrier::new(parts));
-    let clusters = (0..parts)
+    let mailbox = Arc::new(Mailbox::new(pmap.parts as usize));
+    let barrier = Arc::new(PartitionBarrier::new(pmap.parts));
+    (0..pmap.parts)
         .map(|me| {
             DesCluster::build(
                 cfg.clone(),
@@ -153,151 +182,57 @@ fn build_partitions(
                 &seeds,
                 roots.clone(),
                 Arc::clone(&feed),
-                Some(PartCtx {
+                PartCtx {
                     me,
                     pmap,
+                    servers: pmap.server_range(me),
                     window_ns,
                     mailbox: Arc::clone(&mailbox),
                     barrier: Arc::clone(&barrier),
                     out_seq: 0,
                     inbox: Vec::new(),
-                }),
+                },
             )
         })
-        .collect();
-    (clusters, feed, barrier)
+        .collect()
 }
 
-/// Run every partition on its own thread, then merge their stats in
-/// partition order (deterministic: placement is contiguous).
-fn run_and_merge(
-    cfg: &ClusterConfig,
-    clusters: &mut [DesCluster],
-    feed: &Mutex<OpFeed>,
-    barrier: &PartitionBarrier,
-) -> RunStats {
-    std::thread::scope(|s| {
-        for c in clusters.iter_mut() {
-            s.spawn(|| c.run_partition());
-        }
-    });
-    let mut stats = RunStats::new(cfg.protocol, cfg.servers, clusters[0].stats_ref().processes);
-    for c in clusters.iter() {
-        stats.absorb_partition(c.stats_ref());
+/// Drive every partition to completion — a lone partition inline on the
+/// caller's thread, otherwise one scoped thread each — and merge their
+/// stats in partition order (deterministic: placement is contiguous).
+/// What is global is charged once here: the shared feed's remainder
+/// after a hang-cap abort, and the shared sink's stuck-op report and
+/// blame table.
+fn run_merged(clusters: &mut [DesCluster]) -> RunStats {
+    if let [only] = clusters {
+        only.run_partition();
+    } else {
+        std::thread::scope(|s| {
+            for c in clusters.iter_mut() {
+                s.spawn(|| c.run_partition());
+            }
+        });
     }
-    if barrier.aborted() {
+    let (first, rest) = clusters.split_first_mut().expect("at least one partition");
+    let blank = RunStats::new(
+        first.stats.protocol,
+        first.stats.servers,
+        first.stats.processes,
+    );
+    let mut stats = std::mem::replace(&mut first.stats, blank);
+    for c in rest.iter() {
+        stats.absorb_partition(&c.stats);
+    }
+    if first.part.barrier.aborted() {
         // The capped partitions recorded their local in-flight ops; the
         // shared feed's remainder is global, charge it exactly once.
-        stats.ops_stuck += feed.lock().expect("op feed").remaining();
+        stats.ops_stuck += first.feed.lock().expect("op feed").remaining();
     }
-    stats
-}
-
-/// Publish per-partition registries and fold them into the caller's —
-/// exactly the merge the exposition endpoint serves on partitioned runs.
-fn publish_partitioned(clusters: &[DesCluster], reg: &MetricRegistry) {
-    for c in clusters {
-        let part_reg = MetricRegistry::new();
-        c.stats_ref().publish(&part_reg);
-        reg.merge_from(&part_reg);
-    }
-}
-
-/// Partitioned replay of a streaming workload. `parts <= 1` runs the
-/// plain single-threaded cluster (bit-identical digest); `parts > 1`
-/// splits the cluster over `parts` worker threads.
-pub fn run_stream_partitioned(
-    cfg: ClusterConfig,
-    st: StreamTrace,
-    parts: u32,
-) -> (RunStats, Vec<Violation>) {
-    run_stream_partitioned_obs(cfg, st, parts, ObsSink::Off, None)
-}
-
-/// [`run_stream_partitioned`] with an observability sink and an optional
-/// metric registry (per-partition registries are merged into it).
-pub fn run_stream_partitioned_obs(
-    cfg: ClusterConfig,
-    st: StreamTrace,
-    parts: u32,
-    sink: ObsSink,
-    reg: Option<&MetricRegistry>,
-) -> (RunStats, Vec<Violation>) {
-    if parts <= 1 {
-        let (stats, violations) = DesCluster::new_stream(cfg, st).with_obs(sink).run();
-        if let Some(reg) = reg {
-            stats.publish(reg);
-        }
-        return (stats, violations);
-    }
-    let roots = st.roots.clone();
-    let (mut clusters, feed, barrier) = build_partitions(&cfg, st, parts);
-    if sink.enabled() {
-        clusters = clusters
-            .into_iter()
-            .map(|c| c.with_obs(sink.clone()))
-            .collect();
-    }
-    let mut stats = run_and_merge(&cfg, &mut clusters, &feed, &barrier);
-    // The sink is shared, so the stuck report is global — read it once.
-    // Same for the blame table: partitions already fed one recorder.
-    stats.stuck_ops = sink.stuck_report();
-    stats.blame = sink.blame_table();
-    if let Some(reg) = reg {
-        publish_partitioned(&clusters, reg);
-    }
-    // Partition order × contiguous server ranges = global server order.
-    let view = GlobalView::merge(clusters.iter().flat_map(|c| c.local_stores()));
-    let violations = view.check(&roots);
-    (stats, violations)
-}
-
-/// Partitioned fault-injected replay. The injector is the single global
-/// fault authority: all partitions feed it through one mutex, and crash
-/// commands execute only on the server's owner partition.
-pub fn run_chaos_partitioned(
-    cfg: ClusterConfig,
-    st: StreamTrace,
-    parts: u32,
-    injector: Box<dyn FaultInjector>,
-    sink: ObsSink,
-    flight: Option<FlightRecorder>,
-) -> ChaosOutcome {
-    if parts <= 1 {
-        let mut c = DesCluster::new_stream(cfg, st)
-            .with_injector(injector)
-            .with_obs(sink);
-        if let Some(fl) = flight {
-            c = c.with_flight(fl);
-        }
-        return c.run_chaos();
-    }
-    let roots = st.roots.clone();
-    let shared: Arc<Mutex<Box<dyn FaultInjector>>> = Arc::new(Mutex::new(injector));
-    let (mut clusters, feed, barrier) = build_partitions(&cfg, st, parts);
-    for c in clusters.iter_mut() {
-        c.install_shared_injector(Arc::clone(&shared));
-    }
-    clusters = clusters
-        .into_iter()
-        .map(|c| {
-            let mut c = c.with_obs(sink.clone());
-            if let Some(fl) = &flight {
-                c = c.with_flight(fl.clone());
-            }
-            c
-        })
-        .collect();
-    let mut stats = run_and_merge(&cfg, &mut clusters, &feed, &barrier);
-
-    // Mirror the single-threaded wedge accounting: unissued feed ops plus
-    // every partition's in-flight clients.
-    let in_flight: u64 = clusters.iter().map(|c| c.local_in_flight()).sum();
-    let stuck = feed.lock().expect("op feed").remaining() + in_flight;
-    stats.ops_stuck = stats.ops_stuck.max(stuck);
-    stats.stuck_ops = sink.stuck_report();
-    stats.blame = sink.blame_table();
-    if let Some(fl) = &flight {
+    // Structured hang diagnostics: the recorder's live-op map names the
+    // exact stalled phase for every op still short of its reply.
+    stats.stuck_ops = first.obs.stuck_report();
+    stats.blame = first.obs.blame_table();
+    if let Some(fl) = &first.flight {
         for s in &stats.stuck_ops {
             fl.push(
                 stats.drained.0,
@@ -308,17 +243,44 @@ pub fn run_chaos_partitioned(
             );
         }
     }
+    stats
+}
+
+/// Run a clean replay over its partitions: merged stats plus the final
+/// namespace check.
+pub(crate) fn finish_replay(clusters: &mut [DesCluster]) -> (RunStats, Vec<Violation>) {
+    let stats = run_merged(clusters);
+    // Partition order × contiguous server ranges = global server order.
+    let view = GlobalView::merge(clusters.iter().flat_map(|c| c.local_stores()));
+    (stats, view.check(&clusters[0].roots))
+}
+
+/// Run a fault-injected replay over its partitions. The injector is the
+/// single global fault authority; this end-of-run pass does what only
+/// the whole cluster can: stuck-op accounting, quiescence, the merged
+/// view, the merged op logs, and the final oracle pass (partitions skip
+/// their mid-run oracle checks when P > 1 — they only see local stores).
+pub(crate) fn finish_chaos(clusters: &mut [DesCluster]) -> ChaosOutcome {
+    let mut stats = run_merged(clusters);
+
+    // Faults can wedge clients forever (a dropped message with no
+    // retransmission); surface that instead of hanging: unissued feed
+    // ops plus every partition's in-flight clients.
+    let in_flight: u64 = clusters.iter().map(|c| c.local_in_flight()).sum();
+    let stuck = clusters[0].feed.lock().expect("op feed").remaining() + in_flight;
+    stats.ops_stuck = stats.ops_stuck.max(stuck);
 
     let quiesced = clusters.iter().all(|c| c.local_quiesced());
     let view = GlobalView::merge(clusters.iter().flat_map(|c| c.local_stores()));
     let violations = if quiesced {
-        view.check(&roots)
+        view.check(&clusters[0].roots)
     } else {
         Vec::new()
     };
 
-    // Coordinator-side op logs: partitions recorded only their local
-    // clients' ops; merge and re-sort into global ack/issue order.
+    // Each partition logged only its local clients' ops, each log in its
+    // own ack/issue order; concatenate in partition order and stably
+    // sort the acks by time (a no-op for one partition).
     let mut acks = Vec::new();
     let mut issued = Vec::new();
     for c in clusters.iter_mut() {
@@ -326,13 +288,14 @@ pub fn run_chaos_partitioned(
         acks.extend(a);
         issued.extend(i);
     }
-    acks.sort_by_key(|a| (a.at, a.op));
-    issued.sort_by_key(|(op, _)| *op);
+    acks.sort_by_key(|a| a.at);
 
-    // One global oracle pass over the merged cluster (partitions skip
-    // their mid-run oracle checks — they only see local stores).
     let oracle_report = {
-        let mut inj = shared.lock().expect("injector");
+        let inj = clusters[0]
+            .injector
+            .as_ref()
+            .expect("chaos run needs an injector");
+        let mut inj = inj.lock().expect("injector");
         let snap = ClusterSnapshot {
             stores: clusters.iter().flat_map(|c| c.local_stores()).collect(),
             acks: &acks,
@@ -353,6 +316,63 @@ pub fn run_chaos_partitioned(
         issued,
         view,
     }
+}
+
+/// Partitioned replay of a streaming workload over `parts` partitions
+/// (1 is the sequential simulator).
+pub fn run_stream_partitioned(
+    cfg: ClusterConfig,
+    st: StreamTrace,
+    parts: u32,
+) -> (RunStats, Vec<Violation>) {
+    run_stream_partitioned_obs(cfg, st, parts, ObsSink::Off, None)
+}
+
+/// [`run_stream_partitioned`] with an observability sink and an optional
+/// metric registry the merged stats are published into.
+pub fn run_stream_partitioned_obs(
+    cfg: ClusterConfig,
+    st: StreamTrace,
+    parts: u32,
+    sink: ObsSink,
+    reg: Option<&MetricRegistry>,
+) -> (RunStats, Vec<Violation>) {
+    let mut clusters: Vec<DesCluster> = build_partitions(cfg, st, parts)
+        .into_iter()
+        .map(|c| c.with_obs(sink.clone()))
+        .collect();
+    let (stats, violations) = finish_replay(&mut clusters);
+    if let Some(reg) = reg {
+        stats.publish(reg);
+    }
+    (stats, violations)
+}
+
+/// Partitioned fault-injected replay. The injector is the single global
+/// fault authority: all partitions feed it through one mutex, and crash
+/// commands execute only on the server's owner partition.
+pub fn run_chaos_partitioned(
+    cfg: ClusterConfig,
+    st: StreamTrace,
+    parts: u32,
+    injector: Box<dyn FaultInjector>,
+    sink: ObsSink,
+    flight: Option<FlightRecorder>,
+) -> ChaosOutcome {
+    let shared: Arc<Mutex<Box<dyn FaultInjector>>> = Arc::new(Mutex::new(injector));
+    let mut clusters: Vec<DesCluster> = build_partitions(cfg, st, parts)
+        .into_iter()
+        .map(|c| {
+            let mut c = c
+                .with_obs(sink.clone())
+                .with_shared_injector(Arc::clone(&shared));
+            if let Some(fl) = &flight {
+                c = c.with_flight(fl.clone());
+            }
+            c
+        })
+        .collect();
+    finish_chaos(&mut clusters)
 }
 
 #[cfg(test)]

@@ -280,10 +280,10 @@ impl Experiment {
 
     /// Run on the partitioned (parallel) simulator: the cluster is split
     /// across `parts` worker threads synchronized by conservative
-    /// lookahead windows (see `cx_cluster::par`). `parts <= 1` is the
-    /// plain single-threaded simulator, digest-identical to
-    /// [`Experiment::run`]; `parts > 1` preserves all run totals and is
-    /// deterministic for a fixed `(seed, parts)`.
+    /// lookahead windows (see `cx_cluster::par`). `parts == 1` is the
+    /// simulator [`Experiment::run`] drives, inline on the caller's
+    /// thread and digest-identical; `parts > 1` preserves all run totals
+    /// and is deterministic for a fixed `(seed, parts)`.
     pub fn run_partitioned(&self, parts: u32) -> ExperimentResult {
         let st = self.workload.stream(&self.cfg);
         let (stats, violations) = run_stream_partitioned(self.cfg.clone(), st, parts);

@@ -184,7 +184,7 @@ fn home2_digest_pins_simulator_behavior() {
     );
 
     // Third leg of the cross-check: the partitioned entry point at
-    // `parts == 1` is contractually the plain single-threaded simulator.
+    // `parts == 1` is the one-partition driver `run` itself takes.
     let d = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
         .servers(8)
         .protocol(Protocol::Cx)
@@ -206,96 +206,117 @@ fn home2_digest_pins_simulator_behavior() {
 /// stay within a tight band (same-tick arrival ties flip a handful of
 /// conflict detections — the same reason the TCP runtime is
 /// tolerance-checked), and the latency histograms remain statistically
-/// indistinguishable.
+/// indistinguishable. Two inputs: lookup-heavy home2 on 8 servers, and
+/// the update-dominated Metarates mix on 32 servers — the many-server,
+/// mutation-heavy shape where the kernel earns its speedup.
 #[test]
 fn partitioned_runs_are_deterministic_and_total_preserving() {
-    let e = Experiment::new(Workload::trace("home2").scale(0.005).seed(7))
-        .servers(8)
-        .protocol(Protocol::Cx)
-        .seed(42);
-    let single = e.run();
+    use cx_core::MetaratesMix;
+    let inputs = [
+        (
+            "home2 8s",
+            Experiment::new(Workload::trace("home2").scale(0.005).seed(7)).servers(8),
+        ),
+        (
+            "metarates-update 32s",
+            Experiment::new(Workload::Metarates {
+                mix: MetaratesMix::UpdateDominated,
+                ops_per_proc: 20,
+                files_per_server: 500,
+            })
+            .servers(32),
+        ),
+    ];
+    for (name, e) in inputs {
+        let e = e.protocol(Protocol::Cx).seed(42);
+        let single = e.run();
 
-    for parts in [2u32, 4] {
-        let a = e.run_partitioned(parts);
-        let b = e.run_partitioned(parts);
-        assert_eq!(
-            stats_digest(&a),
-            stats_digest(&b),
-            "p{parts}: fixed-(seed, N) repeat runs must be bit-identical"
-        );
-        assert!(a.is_consistent(), "p{parts}: namespace check dirty");
+        for parts in [2u32, 4] {
+            let a = e.run_partitioned(parts);
+            let b = e.run_partitioned(parts);
+            assert_eq!(
+                stats_digest(&a),
+                stats_digest(&b),
+                "{name} p{parts}: fixed-(seed, N) repeat runs must be bit-identical"
+            );
+            assert!(a.is_consistent(), "{name} p{parts}: namespace check dirty");
 
-        // Tie-insensitive totals: exact.
-        let (s, p) = (&single.stats, &a.stats);
-        assert_eq!(s.ops_total, p.ops_total, "p{parts}: ops_total");
-        assert_eq!(
-            p.ops_applied + p.ops_failed,
-            p.ops_total,
-            "p{parts}: op accounting must close"
-        );
-        assert_eq!(s.cross_ops, p.cross_ops, "p{parts}: cross_ops");
-        assert_eq!(
-            s.server_stats.subops_executed, p.server_stats.subops_executed,
-            "p{parts}: sub-ops executed"
-        );
-        assert_eq!(
-            s.server_stats.reads_served, p.server_stats.reads_served,
-            "p{parts}: reads served"
-        );
-        assert_eq!(
-            s.server_stats.ops_committed, p.server_stats.ops_committed,
-            "p{parts}: ops committed"
-        );
-        assert_eq!(
-            s.server_stats.local_mutations, p.server_stats.local_mutations,
-            "p{parts}: local mutations"
-        );
-        assert_eq!(
-            s.proto.batch_size.sum, p.proto.batch_size.sum,
-            "p{parts}: total batched-commitment coverage"
-        );
-        assert_eq!(
-            s.final_inodes + s.final_dentries,
-            p.final_inodes + p.final_dentries,
-            "p{parts}: final namespace size"
-        );
+            // Tie-insensitive totals: exact.
+            let (s, p) = (&single.stats, &a.stats);
+            assert_eq!(s.ops_total, p.ops_total, "{name} p{parts}: ops_total");
+            assert_eq!(
+                p.ops_applied + p.ops_failed,
+                p.ops_total,
+                "{name} p{parts}: op accounting must close"
+            );
+            assert_eq!(s.cross_ops, p.cross_ops, "{name} p{parts}: cross_ops");
+            assert_eq!(
+                s.server_stats.subops_executed, p.server_stats.subops_executed,
+                "{name} p{parts}: sub-ops executed"
+            );
+            assert_eq!(
+                s.server_stats.reads_served, p.server_stats.reads_served,
+                "{name} p{parts}: reads served"
+            );
+            assert_eq!(
+                s.server_stats.ops_committed, p.server_stats.ops_committed,
+                "{name} p{parts}: ops committed"
+            );
+            assert_eq!(
+                s.server_stats.local_mutations, p.server_stats.local_mutations,
+                "{name} p{parts}: local mutations"
+            );
+            assert_eq!(
+                s.proto.batch_size.sum, p.proto.batch_size.sum,
+                "{name} p{parts}: total batched-commitment coverage"
+            );
+            assert_eq!(
+                s.final_inodes + s.final_dentries,
+                p.final_inodes + p.final_dentries,
+                "{name} p{parts}: final namespace size"
+            );
 
-        // Conflict-adjacent counters: tie-sensitive, tight band.
-        let conflict_drift = s.server_stats.conflicts.abs_diff(p.server_stats.conflicts);
-        assert!(
-            conflict_drift <= 1 + s.server_stats.conflicts / 20,
-            "p{parts}: conflicts drifted beyond tie noise ({} vs {})",
-            p.server_stats.conflicts,
-            s.server_stats.conflicts
-        );
-        assert!(
-            s.ops_applied.abs_diff(p.ops_applied) <= 1 + s.server_stats.conflicts / 20,
-            "p{parts}: applied-op drift beyond tie noise"
-        );
+            // Conflict-adjacent counters: tie-sensitive, tight band.
+            let conflict_drift = s.server_stats.conflicts.abs_diff(p.server_stats.conflicts);
+            assert!(
+                conflict_drift <= 1 + s.server_stats.conflicts / 20,
+                "{name} p{parts}: conflicts drifted beyond tie noise ({} vs {})",
+                p.server_stats.conflicts,
+                s.server_stats.conflicts
+            );
+            assert!(
+                s.ops_applied.abs_diff(p.ops_applied) <= 1 + s.server_stats.conflicts / 20,
+                "{name} p{parts}: applied-op drift beyond tie noise"
+            );
 
-        // Latency histograms: same sample count, statistically identical
-        // distribution (means within 1%, maxima within 2x — the replay
-        // timing model is unchanged, only same-tick orderings move).
-        assert_eq!(s.latency.count, p.latency.count, "p{parts}: latency count");
-        assert_eq!(
-            s.cross_latency.count, p.cross_latency.count,
-            "p{parts}: cross-latency count"
-        );
-        let mean = |l: &cx_core::LatencyStat| l.sum_ns as f64 / l.count.max(1) as f64;
-        let (ms, mp) = (mean(&s.latency), mean(&p.latency));
-        assert!(
-            (ms - mp).abs() / ms < 0.01,
-            "p{parts}: mean client latency drifted {ms:.0} -> {mp:.0}"
-        );
-        let (cs, cp) = (mean(&s.cross_latency), mean(&p.cross_latency));
-        assert!(
-            (cs - cp).abs() / cs < 0.01,
-            "p{parts}: mean cross-op latency drifted {cs:.0} -> {cp:.0}"
-        );
-        assert!(
-            p.latency.max_ns <= 2 * s.latency.max_ns && s.latency.max_ns <= 2 * p.latency.max_ns,
-            "p{parts}: latency tail moved beyond tie noise"
-        );
+            // Latency histograms: same sample count, statistically identical
+            // distribution (means within 1%, maxima within 2x — the replay
+            // timing model is unchanged, only same-tick orderings move).
+            assert_eq!(
+                s.latency.count, p.latency.count,
+                "{name} p{parts}: latency count"
+            );
+            assert_eq!(
+                s.cross_latency.count, p.cross_latency.count,
+                "{name} p{parts}: cross-latency count"
+            );
+            let mean = |l: &cx_core::LatencyStat| l.sum_ns as f64 / l.count.max(1) as f64;
+            let (ms, mp) = (mean(&s.latency), mean(&p.latency));
+            assert!(
+                (ms - mp).abs() / ms < 0.01,
+                "{name} p{parts}: mean client latency drifted {ms:.0} -> {mp:.0}"
+            );
+            let (cs, cp) = (mean(&s.cross_latency), mean(&p.cross_latency));
+            assert!(
+                (cs - cp).abs() / cs < 0.01,
+                "{name} p{parts}: mean cross-op latency drifted {cs:.0} -> {cp:.0}"
+            );
+            assert!(
+                p.latency.max_ns <= 2 * s.latency.max_ns
+                    && s.latency.max_ns <= 2 * p.latency.max_ns,
+                "{name} p{parts}: latency tail moved beyond tie noise"
+            );
+        }
     }
 }
 
