@@ -110,6 +110,9 @@ if [ "${1:-}" != "quick" ]; then
     cargo run -q --release -p cx-obs -- net target/cx_net_obs.net.json > /dev/null
     cargo run -q --release -p cx-obs -- top target/cx_net_metrics.json \
         target/cx_net_metrics_srv*.json > /dev/null
+    # The stitched wall-clock report must also decompose with exact
+    # per-op blame sums, as the DES report does in the doctor smoke.
+    cargo run -q --release -p cx-obs -- doctor target/cx_net_obs.report.json > /dev/null
 
     # Live-exposition smoke: a loopback TCP home2 run must leave fresh
     # .prom / .json snapshots behind (the cx-obs top input), and the

@@ -1909,6 +1909,13 @@ mod tests {
             cross > 0 && committed * 100 >= cross * 99,
             "{committed}/{cross} cross spans reached Completed"
         );
+        // Every Cx cross op replies with `awaits_commitment` and gets one
+        // commitment sample, whichever of the server's Completed stamp and
+        // the client's reply reaches the recorder first.
+        assert_eq!(
+            rep.commitment.count, res.stats.cross_ops,
+            "one commitment sample per awaiting reply"
+        );
         // `check_accounting` enforces the client-visible prefix (Issued ≤
         // Dispatched ≤ Executed ≤ Replied, segments summing to the client
         // latency). The commitment phases run concurrently with the reply

@@ -6,7 +6,7 @@
 //! suffix, 2PC carries it on-path inside the client-visible window.
 
 use cx_cluster::{DesCluster, ObsSink, TcpCluster, TcpOptions};
-use cx_obs::{blame_span, BlameTable, Seg};
+use cx_obs::{blame_span, edges_by_op, BlameTable, Seg};
 use cx_types::{BatchTrigger, ClusterConfig, Protocol};
 use cx_workloads::{Trace, TraceBuilder, TraceProfile};
 
@@ -143,10 +143,10 @@ fn blame_invariant_holds_for_every_sampled_span_in_both_runtimes() {
         assert_eq!(violations, vec![]);
         let rep = sink.report().expect("recording sink yields a report");
         let mut decomposed = 0u64;
+        let by_op = edges_by_op(&rep.edges);
         for span in &rep.spans {
-            let edges: Vec<&cx_obs::MsgEdge> =
-                rep.edges.iter().filter(|e| e.op == Some(span.op)).collect();
-            if let Some(b) = blame_span(span, &edges) {
+            let edges = by_op.get(&span.op).map_or(&[][..], Vec::as_slice);
+            if let Some(b) = blame_span(span, edges) {
                 b.check().unwrap_or_else(|e| panic!("{protocol:?}: {e}"));
                 decomposed += 1;
             }

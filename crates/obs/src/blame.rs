@@ -21,13 +21,12 @@
 //! commitment time in the off-path suffix, 2PC accrues it in
 //! `commit-onpath` inside the client window.
 
-use crate::flow::{FlowNode, MsgEdge};
+use crate::flow::{edges_by_op, FlowNode, MsgEdge, MsgKind};
 use crate::hist::{fmt_ns_f, HistSummary, LogHistogram};
 use crate::path::{critical_path, edge_class, EdgeClass};
 use crate::span::{OpSpan, Phase};
-use cx_types::OpId;
+use cx_types::{FxHashMap, OpId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A named latency segment. The first seven live inside the client-visible
 /// window; the last four form the off-path commitment suffix.
@@ -132,11 +131,64 @@ pub struct ChainRow {
     pub label: String,
 }
 
+/// Where one chain step's time went. Typed, so the table aggregates hop
+/// and node rows without formatting or parsing text; a label is rendered
+/// only when a step lands in an [`Exemplar`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepAt {
+    /// On-node time at `node` before a critical send ("execute @ s1").
+    Node(FlowNode),
+    /// A critical message's flight ("SUBOP-REQ s0 → s1").
+    Hop {
+        kind: MsgKind,
+        from: FlowNode,
+        to: FlowNode,
+    },
+    /// Client-side delivery after the final response arrived.
+    ClientDeliver,
+    /// A coarse phase window, for ops without a causal chain.
+    PhaseWindow,
+    /// A window of the off-path commitment suffix.
+    OffPath,
+}
+
+/// One step of an op's waterfall.
+#[derive(Debug, Clone, Copy)]
+pub struct ChainStep {
+    /// Offset from `Issued`.
+    pub t_rel_ns: u64,
+    pub dur_ns: u64,
+    pub seg: Seg,
+    pub at: StepAt,
+}
+
+impl ChainStep {
+    /// The human annotation: what happened, where.
+    fn label(&self) -> String {
+        match self.at {
+            StepAt::Node(node) => format!("{} @ {node}", self.seg.name()),
+            StepAt::Hop { kind, from, to } => format!("{} {from} → {to}", kind.name()),
+            StepAt::ClientDeliver => "reply-deliver @ client".into(),
+            StepAt::PhaseWindow => format!("{} (phase window)", self.seg.name()),
+            StepAt::OffPath => format!("{} (off-path)", self.seg.name()),
+        }
+    }
+
+    fn row(&self) -> ChainRow {
+        ChainRow {
+            t_rel_ns: self.t_rel_ns,
+            dur_ns: self.dur_ns,
+            seg: self.seg,
+            label: self.label(),
+        }
+    }
+}
+
 /// The per-op decomposition. `segs` indexes by [`Seg::index`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpBlame {
     pub op: OpId,
-    pub class: String,
+    pub class: &'static str,
     pub cross: bool,
     /// `Issued → Replied`.
     pub client_ns: u64,
@@ -146,8 +198,8 @@ pub struct OpBlame {
     /// True when the op had no usable causal chain and the coarse
     /// phase-window decomposition was used instead.
     pub fallback: bool,
-    /// The annotated waterfall, in time order.
-    pub chain: Vec<ChainRow>,
+    /// The waterfall, in time order.
+    pub chain: Vec<ChainStep>,
 }
 
 impl OpBlame {
@@ -181,11 +233,12 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
     let t3 = t3.max(t0);
     let client_ns = t3 - t0;
     let mut segs = [0u64; Seg::COUNT];
-    let mut chain: Vec<ChainRow> = Vec::new();
+    let mut chain: Vec<ChainStep> = Vec::new();
     let mut fallback = false;
 
     match critical_path(span, edges) {
         Some(cp) => {
+            chain.reserve(2 * cp.hops.len() + 1);
             for h in &cp.hops {
                 // The on-node gap before the send: at a client it is issue
                 // queueing; at a server it takes the class of the message
@@ -204,27 +257,31 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
                 segs[gap_seg.index()] += h.gap_ns;
                 segs[wire_seg.index()] += h.wire_ns;
                 if h.gap_ns > 0 {
-                    chain.push(ChainRow {
+                    chain.push(ChainStep {
                         t_rel_ns: h.sent_ns.saturating_sub(t0).saturating_sub(h.gap_ns),
                         dur_ns: h.gap_ns,
                         seg: gap_seg,
-                        label: format!("{} @ {}", gap_seg.name(), h.from),
+                        at: StepAt::Node(h.from),
                     });
                 }
-                chain.push(ChainRow {
+                chain.push(ChainStep {
                     t_rel_ns: h.sent_ns - t0,
                     dur_ns: h.wire_ns,
                     seg: wire_seg,
-                    label: format!("{} {} → {}", h.kind.name(), h.from, h.to),
+                    at: StepAt::Hop {
+                        kind: h.kind,
+                        from: h.from,
+                        to: h.to,
+                    },
                 });
             }
             if cp.tail_ns > 0 {
                 segs[Seg::ReplyDeliver.index()] += cp.tail_ns;
-                chain.push(ChainRow {
+                chain.push(ChainStep {
                     t_rel_ns: client_ns - cp.tail_ns,
                     dur_ns: cp.tail_ns,
                     seg: Seg::ReplyDeliver,
-                    label: "reply-deliver @ client".into(),
+                    at: StepAt::ClientDeliver,
                 });
             }
         }
@@ -243,11 +300,11 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
                 let at = raw.clamp(prev, t3);
                 if at > prev {
                     segs[seg.index()] += at - prev;
-                    chain.push(ChainRow {
+                    chain.push(ChainStep {
                         t_rel_ns: prev - t0,
                         dur_ns: at - prev,
                         seg,
-                        label: format!("{} (phase window)", seg.name()),
+                        at: StepAt::PhaseWindow,
                     });
                 }
                 prev = at;
@@ -273,34 +330,26 @@ pub fn blame_span(span: &OpSpan, edges: &[&MsgEdge]) -> Option<OpBlame> {
             (Phase::VoteSent, Seg::VoteLaunch),
             (Phase::DecisionSent, Seg::VoteRound),
             (Phase::Acked, Seg::DecisionRound),
+            (Phase::Completed, Seg::Complete),
         ] {
             let Some(raw) = span.at(ph) else { continue };
             let at = raw.clamp(prev, completed);
             if at > prev {
                 segs[seg.index()] += at - prev;
-                chain.push(ChainRow {
+                chain.push(ChainStep {
                     t_rel_ns: prev - t0,
                     dur_ns: at - prev,
                     seg,
-                    label: format!("{} (off-path)", seg.name()),
+                    at: StepAt::OffPath,
                 });
             }
             prev = at;
-        }
-        if completed > prev {
-            segs[Seg::Complete.index()] += completed - prev;
-            chain.push(ChainRow {
-                t_rel_ns: prev - t0,
-                dur_ns: completed - prev,
-                seg: Seg::Complete,
-                label: "complete (off-path)".into(),
-            });
         }
     }
 
     Some(OpBlame {
         op: span.op,
-        class: span.class.name().to_string(),
+        class: span.class.name(),
         cross: span.cross,
         client_ns,
         commit_ns,
@@ -356,8 +405,40 @@ pub struct Exemplar {
     pub chain: Vec<ChainRow>,
 }
 
+impl Exemplar {
+    /// Render one op's decomposition: the only place chain labels are
+    /// formatted.
+    fn of(b: &OpBlame) -> Self {
+        Exemplar {
+            op: b.op.to_string(),
+            class: b.class.to_string(),
+            cross: b.cross,
+            client_ns: b.client_ns,
+            commit_ns: b.commit_ns,
+            segs: Seg::ALL
+                .iter()
+                .filter(|s| b.segs[s.index()] > 0)
+                .map(|&seg| {
+                    let mut hist = LogHistogram::new();
+                    hist.record(b.segs[seg.index()]);
+                    SegRow { seg, hist }
+                })
+                .collect(),
+            chain: b.chain.iter().map(ChainStep::row).collect(),
+        }
+    }
+}
+
 /// How many tail exemplars a table keeps.
 pub const EXEMPLARS: usize = 5;
+
+/// Where each hop and node row of a table under construction lives, so a
+/// step finds its row in O(1) instead of scanning the row list.
+#[derive(Default)]
+struct RowIndex {
+    hops: FxHashMap<(FlowNode, FlowNode, Seg), usize>,
+    nodes: FxHashMap<(FlowNode, Seg), usize>,
+}
 
 /// The aggregated blame table of one run (or one merged set of runs).
 /// Every histogram merges element-wise, so tables compose across
@@ -399,52 +480,36 @@ impl BlameTable {
     }
 
     /// Build the table from a run's sampled spans and message edges — the
-    /// doctor's entry point.
+    /// doctor's entry point. One pass, linear in spans + edges: edges are
+    /// grouped once, hop and node rows are found through an index (rows
+    /// stay in first-seen order), and the exemplars are a running top-K,
+    /// so no per-op decomposition outlives its span unless it is among the
+    /// K slowest so far.
     pub fn from_spans(protocol: &str, spans: &[OpSpan], edges: &[MsgEdge]) -> Self {
-        let mut by_op: HashMap<OpId, Vec<&MsgEdge>> = HashMap::new();
-        for e in edges {
-            if let Some(op) = e.op {
-                by_op.entry(op).or_default().push(e);
-            }
-        }
-        let empty: Vec<&MsgEdge> = Vec::new();
+        let by_op = edges_by_op(edges);
         let mut t = Self::new(protocol);
-        let mut blamed: Vec<(OpBlame, &OpSpan)> = Vec::new();
+        let mut rows = RowIndex::default();
+        // The K slowest by client-visible latency, slowest first; ties
+        // keep the earlier span.
+        let mut top: Vec<OpBlame> = Vec::with_capacity(EXEMPLARS + 1);
         for span in spans {
-            let op_edges = by_op.get(&span.op).unwrap_or(&empty);
-            if let Some(b) = blame_span(span, op_edges) {
-                t.absorb_op(&b, op_edges);
-                blamed.push((b, span));
+            let op_edges = by_op.get(&span.op).map_or(&[][..], Vec::as_slice);
+            let Some(b) = blame_span(span, op_edges) else {
+                continue;
+            };
+            t.absorb_op(&b, &mut rows);
+            let pos = top.partition_point(|x| x.client_ns >= b.client_ns);
+            if pos < EXEMPLARS {
+                top.insert(pos, b);
+                top.truncate(EXEMPLARS);
             }
         }
-        // Tail exemplars: the K slowest by client-visible latency.
-        blamed.sort_by_key(|x| std::cmp::Reverse(x.0.client_ns));
-        t.exemplars = blamed
-            .iter()
-            .take(EXEMPLARS)
-            .map(|(b, _)| Exemplar {
-                op: b.op.to_string(),
-                class: b.class.clone(),
-                cross: b.cross,
-                client_ns: b.client_ns,
-                commit_ns: b.commit_ns,
-                segs: Seg::ALL
-                    .iter()
-                    .filter(|s| b.segs[s.index()] > 0)
-                    .map(|&seg| {
-                        let mut hist = LogHistogram::new();
-                        hist.record(b.segs[seg.index()]);
-                        SegRow { seg, hist }
-                    })
-                    .collect(),
-                chain: b.chain.clone(),
-            })
-            .collect();
+        t.exemplars = top.iter().map(Exemplar::of).collect();
         t
     }
 
     /// Fold one op's decomposition into the histograms.
-    fn absorb_op(&mut self, b: &OpBlame, op_edges: &[&MsgEdge]) {
+    fn absorb_op(&mut self, b: &OpBlame, rows: &mut RowIndex) {
         self.ops += 1;
         if b.fallback {
             self.fallback_ops += 1;
@@ -463,7 +528,7 @@ impl BlameTable {
             Some(c) => c,
             None => {
                 self.per_class.push(ClassBlame {
-                    class: b.class.clone(),
+                    class: b.class.to_string(),
                     client_total: LogHistogram::new(),
                     segs: Vec::new(),
                 });
@@ -485,61 +550,37 @@ impl BlameTable {
                 }
             }
         }
-        // Per-hop / per-node attribution from the chain rows. The chain
-        // labels carry the endpoints; re-walking the hop structure keeps
-        // this exact without a second path extraction.
-        let _ = op_edges;
-        for row in &b.chain {
-            match row.seg {
-                Seg::ReqWire | Seg::ReplyWire => {
-                    if let Some((from, to)) = parse_hop(&row.label) {
-                        self.record_hop(from, to, row.seg, row.dur_ns);
-                    }
+        // Per-hop wire and per-node on-node time, straight from the typed
+        // steps. A client's on-node time is issue queueing, which the
+        // node rows leave out.
+        for step in &b.chain {
+            match step.at {
+                StepAt::Hop { from, to, .. } => {
+                    let seg = step.seg;
+                    let i = *rows.hops.entry((from, to, seg)).or_insert_with(|| {
+                        self.hops.push(HopRow {
+                            from,
+                            to,
+                            seg,
+                            hist: LogHistogram::new(),
+                        });
+                        self.hops.len() - 1
+                    });
+                    self.hops[i].hist.record(step.dur_ns);
                 }
-                Seg::Dispatch | Seg::Execute | Seg::CommitOnPath => {
-                    if let Some(node) = parse_node(&row.label) {
-                        self.record_node(node, row.seg, row.dur_ns);
-                    } else if let Some((from, to)) = parse_hop(&row.label) {
-                        // commit-onpath wire rows.
-                        self.record_hop(from, to, row.seg, row.dur_ns);
-                    }
+                StepAt::Node(node) if step.seg != Seg::IssueQueue => {
+                    let seg = step.seg;
+                    let i = *rows.nodes.entry((node, seg)).or_insert_with(|| {
+                        self.nodes.push(NodeRow {
+                            node,
+                            seg,
+                            hist: LogHistogram::new(),
+                        });
+                        self.nodes.len() - 1
+                    });
+                    self.nodes[i].hist.record(step.dur_ns);
                 }
                 _ => {}
-            }
-        }
-    }
-
-    fn record_hop(&mut self, from: FlowNode, to: FlowNode, seg: Seg, ns: u64) {
-        match self
-            .hops
-            .iter_mut()
-            .find(|h| h.from == from && h.to == to && h.seg == seg)
-        {
-            Some(h) => h.hist.record(ns),
-            None => {
-                let mut hist = LogHistogram::new();
-                hist.record(ns);
-                self.hops.push(HopRow {
-                    from,
-                    to,
-                    seg,
-                    hist,
-                });
-            }
-        }
-    }
-
-    fn record_node(&mut self, node: FlowNode, seg: Seg, ns: u64) {
-        match self
-            .nodes
-            .iter_mut()
-            .find(|n| n.node == node && n.seg == seg)
-        {
-            Some(n) => n.hist.record(ns),
-            None => {
-                let mut hist = LogHistogram::new();
-                hist.record(ns);
-                self.nodes.push(NodeRow { node, seg, hist });
             }
         }
     }
@@ -784,30 +825,6 @@ impl BlameTable {
     }
 }
 
-/// `s3`-style hop endpoints out of a chain label ("SUBOP-REQ s0 → s1").
-fn parse_hop(label: &str) -> Option<(FlowNode, FlowNode)> {
-    let (lhs, rhs) = label.split_once(" → ")?;
-    let from = parse_flow(lhs.rsplit(' ').next()?)?;
-    let to = parse_flow(rhs.trim())?;
-    Some((from, to))
-}
-
-/// The node out of an on-node chain label ("execute @ s1").
-fn parse_node(label: &str) -> Option<FlowNode> {
-    let (_, rhs) = label.split_once(" @ ")?;
-    parse_flow(rhs.trim())
-}
-
-fn parse_flow(s: &str) -> Option<FlowNode> {
-    let (tag, num) = s.split_at(1);
-    let n: u32 = num.parse().ok()?;
-    match tag {
-        "s" => Some(FlowNode::Server(n)),
-        "c" => Some(FlowNode::Client(n)),
-        _ => None,
-    }
-}
-
 /// One segment's contribution to a latency delta between two runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegDelta {
@@ -1022,7 +1039,6 @@ impl BlameDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::MsgKind;
     use cx_types::{OpClass, ProcId, ServerId, SimTime};
 
     fn op(seq: u64) -> OpId {
@@ -1212,6 +1228,99 @@ mod tests {
         let text = t.render();
         assert!(text.contains("issue-queue"));
         assert!(text.contains("exemplar #1"));
+    }
+
+    #[test]
+    fn table_rows_and_exemplars_keep_their_contract() {
+        // 96 clients × 4 servers, one request and one response hop per op:
+        // 768 distinct hop rows, more than a linear row scan would
+        // comfortably serve. Latencies repeat with period 7, so the
+        // slowest value is shared by many ops and exemplar ties matter.
+        let (clients, servers, n_ops) = (96u32, 4u32, 3_000u64);
+        let mut spans = Vec::new();
+        let mut edges = Vec::new();
+        for i in 0..n_ops {
+            let c = (i % clients as u64) as u32;
+            let s = ((i / clients as u64) % servers as u64) as u32;
+            let op = OpId::new(ProcId::new(c, 0), i);
+            let t0 = i * 10_000;
+            let lat = 1_000 + (i % 7) * 100;
+            let mut span = OpSpan::new(op, OpClass::Create, false, SimTime(t0));
+            span.stamp(Phase::Dispatched, SimTime(t0 + 10), None);
+            span.stamp(Phase::Executed, SimTime(t0 + lat - 30), Some(ServerId(s)));
+            span.stamp(Phase::Replied, SimTime(t0 + lat), None);
+            spans.push(span);
+            for (kind, from, to, sent, recv) in [
+                (
+                    MsgKind::SubOpReq,
+                    FlowNode::Client(c),
+                    FlowNode::Server(s),
+                    t0 + 10,
+                    t0 + 20,
+                ),
+                (
+                    MsgKind::SubOpResp,
+                    FlowNode::Server(s),
+                    FlowNode::Client(c),
+                    t0 + lat - 30,
+                    t0 + lat - 10,
+                ),
+            ] {
+                edges.push(MsgEdge {
+                    id: edges.len() as u64 + 1,
+                    op: Some(op),
+                    kind,
+                    from,
+                    to,
+                    sent_ns: sent,
+                    recv_ns: recv,
+                });
+            }
+        }
+        let t = BlameTable::from_spans("cx", &spans, &edges);
+        assert_eq!(t.ops, n_ops);
+        assert_eq!(t.fallback_ops, 0);
+        assert_eq!(t.hops.len(), 2 * (clients * servers) as usize);
+
+        // Hop-row counts sum to the wire steps of every decomposed op, and
+        // rows appear in the order their first step was seen.
+        let by_op = edges_by_op(&edges);
+        let mut wire_steps = 0u64;
+        let mut first_seen: Vec<(FlowNode, FlowNode, Seg)> = Vec::new();
+        for span in &spans {
+            let b = blame_span(span, &by_op[&span.op]).expect("replied");
+            for step in &b.chain {
+                if let StepAt::Hop { from, to, .. } = step.at {
+                    wire_steps += 1;
+                    if !first_seen.contains(&(from, to, step.seg)) {
+                        first_seen.push((from, to, step.seg));
+                    }
+                }
+            }
+        }
+        assert_eq!(wire_steps, 2 * n_ops);
+        assert_eq!(t.hops.iter().map(|h| h.hist.count).sum::<u64>(), wire_steps);
+        let rows: Vec<(FlowNode, FlowNode, Seg)> =
+            t.hops.iter().map(|h| (h.from, h.to, h.seg)).collect();
+        assert_eq!(rows, first_seen);
+
+        // Exemplars: the 5 slowest; among equal latencies, span order.
+        let mut ranked: Vec<&OpSpan> = spans.iter().collect();
+        ranked.sort_by_key(|s| std::cmp::Reverse(s.client_visible_ns()));
+        let want: Vec<(String, u64)> = ranked[..EXEMPLARS]
+            .iter()
+            .map(|s| (s.op.to_string(), s.client_visible_ns().unwrap()))
+            .collect();
+        let got: Vec<(String, u64)> = t
+            .exemplars
+            .iter()
+            .map(|e| (e.op.clone(), e.client_ns))
+            .collect();
+        assert_eq!(got, want);
+        assert!(got.iter().all(|(_, ns)| *ns == 1_600), "a tie at the top");
+        let first = &t.exemplars[0];
+        assert_eq!(first.op, spans[6].op.to_string());
+        assert_eq!(first.chain[1].label, "SUBOP-REQ c6 → s0");
     }
 
     #[test]

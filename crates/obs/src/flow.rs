@@ -8,7 +8,7 @@
 //! the delivery time there anyway), so the protocol engines stay unaware
 //! of the tracing, exactly like the lifecycle spans.
 
-use cx_types::OpId;
+use cx_types::{FxHashMap, OpId};
 use serde::{Deserialize, Serialize};
 
 /// One endpoint of a message edge. A deliberately tiny mirror of the
@@ -174,6 +174,19 @@ pub struct MsgEdge {
     pub to: FlowNode,
     pub sent_ns: u64,
     pub recv_ns: u64,
+}
+
+/// Group `edges` by the op they serve, in one pass and in recording order
+/// within each op. Batch-level edges (`op: None`) belong to no op and are
+/// left out.
+pub fn edges_by_op(edges: &[MsgEdge]) -> FxHashMap<OpId, Vec<&MsgEdge>> {
+    let mut by_op: FxHashMap<OpId, Vec<&MsgEdge>> = FxHashMap::default();
+    for e in edges {
+        if let Some(op) = e.op {
+            by_op.entry(op).or_default().push(e);
+        }
+    }
+    by_op
 }
 
 /// Render `edges` as Chrome-trace events under process `pid`: an in-flight

@@ -22,7 +22,7 @@
 //! summaries). Snapshots that fail to read or parse are skipped with a
 //! per-file warning on stderr, never silently folded into a partial view.
 
-use cx_obs::{blame_diff, blame_span, MetricsSnapshot, NetTable, ObsReport};
+use cx_obs::{blame_diff, blame_span, edges_by_op, MetricsSnapshot, NetTable, ObsReport};
 use std::process::ExitCode;
 
 fn load_report(path: &str) -> Result<ObsReport, String> {
@@ -87,10 +87,10 @@ fn doctor(path: &str, args: &[String]) -> ExitCode {
         eprintln!("cx-obs doctor: span accounting broken: {e}");
         return ExitCode::FAILURE;
     }
+    let by_op = edges_by_op(&rep.edges);
     for span in &rep.spans {
-        let edges: Vec<&cx_obs::MsgEdge> =
-            rep.edges.iter().filter(|e| e.op == Some(span.op)).collect();
-        if let Some(b) = blame_span(span, &edges) {
+        let edges = by_op.get(&span.op).map_or(&[][..], Vec::as_slice);
+        if let Some(b) = blame_span(span, edges) {
             if let Err(e) = b.check() {
                 eprintln!(
                     "cx-obs doctor: blame accounting broken for {}: {e}",

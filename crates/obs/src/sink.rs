@@ -19,7 +19,9 @@ use std::sync::{Arc, Mutex};
 
 /// What the recorder keeps in detail. Histograms always cover *every*
 /// operation; full spans (for the Perfetto trace) are kept for a sampled
-/// window so memory stays bounded on full-scale replays.
+/// window so memory stays bounded on full-scale replays. The recorder
+/// reserves room for `max_spans` spans and `max_edges` edges when it is
+/// built, so neither grows, and reallocates, in the middle of a run.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
     /// Keep a full span for every `sample_every`-th issued op…
@@ -154,6 +156,9 @@ impl Recorder {
             cfg,
             protocol: protocol.into(),
             client_by_class: vec![LogHistogram::new(); OpClass::COUNT],
+            spans: FxHashMap::with_capacity_and_hasher(cfg.max_spans, Default::default()),
+            span_order: Vec::with_capacity(cfg.max_spans),
+            edges: Vec::with_capacity(cfg.max_edges),
             ..Self::default()
         }
     }
@@ -193,9 +198,12 @@ impl Recorder {
                     live.server = s.0;
                 }
             }
-            if phase == Phase::Completed {
+            // A server can stamp Completed before the client side records
+            // the reply (wall-clock runtimes race the two). The entry then
+            // stays, in phase Completed, until `replied` closes it.
+            if phase == Phase::Completed && live.replied_at != u64::MAX {
                 let live = self.live.remove(&op).expect("just fetched");
-                if live.replied_at != u64::MAX && live.cross {
+                if live.cross {
                     self.commitment.record(at.0.saturating_sub(live.replied_at));
                 }
             }
@@ -217,11 +225,19 @@ impl Recorder {
     fn replied(&mut self, op: OpId, at: SimTime, outcome: OpOutcome, awaits_commitment: bool) {
         if awaits_commitment {
             if let Some(live) = self.live.get_mut(&op) {
-                if Phase::Replied > live.phase {
-                    live.phase = Phase::Replied;
-                    live.at = at;
+                if live.phase == Phase::Completed {
+                    // Completed was stamped first; `live.at` holds it.
+                    let live = self.live.remove(&op).expect("just fetched");
+                    if live.cross {
+                        self.commitment.record(live.at.0.saturating_sub(at.0));
+                    }
+                } else {
+                    if Phase::Replied > live.phase {
+                        live.phase = Phase::Replied;
+                        live.at = at;
+                    }
+                    live.replied_at = at.0;
                 }
-                live.replied_at = at.0;
             }
         } else {
             self.live.remove(&op);
@@ -579,6 +595,23 @@ mod tests {
         assert_eq!(rep.commitment.count, 1);
         assert_eq!(rep.commitment.max, 820);
         assert!(s.stuck_report().is_empty());
+    }
+
+    #[test]
+    fn completed_before_reply_still_records_commitment() {
+        // A wall-clock server can stamp Completed before the client side
+        // records the reply; the sample must survive the reordering.
+        let s = ObsSink::recording("cx");
+        s.op_issued(op(2), OpClass::Mkdir, true, SimTime(0));
+        s.op_phase(op(2), Phase::Completed, SimTime(700), Some(ServerId(1)));
+        s.op_replied(op(2), SimTime(300), OpOutcome::Applied, true);
+        let rep = s.report().unwrap();
+        assert_eq!(rep.commitment.count, 1);
+        assert_eq!(rep.commitment.max, 400);
+        assert!(s.stuck_report().is_empty());
+        if let ObsSink::On(rec) = &s {
+            assert!(rec.lock().unwrap().live.is_empty(), "entry closed");
+        }
     }
 
     #[test]
