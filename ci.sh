@@ -148,12 +148,13 @@ if [ "${1:-}" != "quick" ]; then
         --out target/bench/BENCH_CI.json --against BENCH_PR3.json --tolerance 0.70 \
         --net-floor 30000
 
-    # The wall-clock runtime under load: the TCP unit tests and the
-    # TCP-vs-DES equivalence suite squeezed onto one core, so a
+    # The wall-clock runtime under load: the TCP unit tests, the
+    # TCP-vs-DES equivalence suite and cx-net's socket drills (reconnect,
+    # kill mid-batch, backoff) squeezed onto one core, so a
     # scheduling-dependent flake fails here instead of hiding behind a
     # retry.
-    step "cx-cluster tests pinned to one core (taskset -c 0)"
-    taskset -c 0 cargo test -q --release -p cx-cluster
+    step "cx-cluster and cx-net tests pinned to one core (taskset -c 0)"
+    taskset -c 0 cargo test -q --release -p cx-cluster -p cx-net
 fi
 
 step "cargo test (workspace)"

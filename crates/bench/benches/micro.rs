@@ -8,7 +8,9 @@
 //! live in the `src/bin/` experiment binaries): event-queue churn,
 //! protocol-engine throughput on the zero-latency testkit, WAL
 //! append/prune and record encode/decode, metadata-store apply/undo and
-//! lookup, disk-model scheduling, placement hashing, and trace generation.
+//! lookup, disk-model scheduling, placement hashing, trace generation,
+//! and the wire plane: frame encode/decode and the socket reader's
+//! fill-and-drain path.
 //!
 //! Each benchmark reports the median per-op time over several timed
 //! batches (2 warmup + 9 measured).
@@ -19,6 +21,7 @@ use cx_types::{
     FileKind, FsOp, InodeNo, Name, Placement, ProcId, Role, ServerId, SimTime, SubOp, Verdict,
 };
 use std::hint::black_box;
+use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
 /// Runs `batch` (which returns the time spent on `units` operations) a few
@@ -287,6 +290,116 @@ fn bench_des_replay(filter: &str) {
     });
 }
 
+/// The `Frame::Msg`s Cx's engines exchange for `ops` creates over four
+/// servers on the zero-latency testkit.
+fn engine_frames(ops: u64) -> Vec<cx_net::wire::Frame> {
+    use cx_net::wire::Frame;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let mut cfg = ClusterConfig::new(4, Protocol::Cx);
+    cfg.cx.trigger = BatchTrigger::Threshold { pending_ops: 64 };
+    let mut kit = Kit::new(cfg);
+    for s in kit.servers.iter_mut() {
+        s.store_mut().seed_inode(InodeNo(1), FileKind::Directory, 1);
+    }
+    let seen: Rc<RefCell<Vec<Frame>>> = Rc::default();
+    let sink = Rc::clone(&seen);
+    kit.hold_if(move |env| {
+        let mut frames = sink.borrow_mut();
+        let sent_ns = frames.len() as u64 * 1_000;
+        frames.push(Frame::Msg {
+            sent_ns,
+            from: env.from,
+            to: env.to,
+            payload: env.payload.clone(),
+        });
+        false
+    });
+    for i in 0..ops {
+        kit.run_op(
+            ProcId::new((i % 4) as u32, 0),
+            FsOp::Create {
+                parent: InodeNo(1),
+                name: Name(100 + i),
+                ino: InodeNo(1000 + i),
+            },
+        );
+    }
+    kit.quiesce();
+    seen.take()
+}
+
+/// An in-memory socket: each `read` returns at most `chunk` bytes.
+struct ChunkedReader<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for ChunkedReader<'_> {
+    fn read(&mut self, w: &mut [u8]) -> io::Result<usize> {
+        let n = self.chunk.min(self.bytes.len()).min(w.len());
+        w[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn bench_net(filter: &str) {
+    use cx_net::wire::{decode_frame, encode_frame, FrameBuffer};
+    use cx_types::NetTuning;
+    const NAMES: [&str; 3] = ["net/frame_encode", "net/frame_decode", "net/socket_read"];
+    if !NAMES.iter().any(|name| name.contains(filter)) {
+        return;
+    }
+    let frames = engine_frames(1024);
+    let n = frames.len() as u64;
+    let mut bytes = Vec::new();
+    for f in &frames {
+        encode_frame(f, &mut bytes);
+    }
+    bench(filter, NAMES[0], n, || {
+        let mut buf = Vec::with_capacity(bytes.len());
+        timed(|| {
+            for f in &frames {
+                encode_frame(f, &mut buf);
+            }
+            buf
+        })
+    });
+    bench(filter, NAMES[1], n, || {
+        timed(|| {
+            let (mut rest, mut count) = (&bytes[..], 0u64);
+            while !rest.is_empty() {
+                let (f, used) = decode_frame(rest).expect("own encoding decodes");
+                black_box(f);
+                rest = &rest[used..];
+                count += 1;
+            }
+            count
+        })
+    });
+    // The reader thread's path: a buffer of the default size, filled by
+    // ~1.7 KiB `read`s (a couple of coalesced flushes' worth of ~70 B
+    // frames), every complete frame drained after each one.
+    bench(filter, NAMES[2], n, || {
+        let mut fb = FrameBuffer::with_capacity(NetTuning::default().read_buf_bytes);
+        let mut out = Vec::with_capacity(64);
+        let mut socket = ChunkedReader {
+            bytes: &bytes,
+            chunk: 1_700,
+        };
+        timed(|| {
+            let mut count = 0;
+            while fb.fill_from(&mut socket, 4096).expect("in-memory read") > 0 {
+                count += fb.drain_frames(&mut out).expect("own encoding decodes");
+                out.clear();
+            }
+            assert_eq!(count as u64, n, "every frame arrives");
+            count
+        })
+    });
+}
+
 fn main() {
     // Cargo passes `--bench` (and possibly other flags); the first
     // non-flag argument is a substring filter.
@@ -304,4 +417,5 @@ fn main() {
     bench_placement(&filter);
     bench_trace_generation(&filter);
     bench_des_replay(&filter);
+    bench_net(&filter);
 }

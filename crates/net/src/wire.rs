@@ -1099,19 +1099,19 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, scratch: &mut Vec<u8>) ->
 /// present.
 ///
 /// The buffer is reused across fills: consumed bytes are compacted to the
-/// front before each refill, so the steady state allocates nothing (the
-/// buffer grows only when a single frame exceeds the current capacity).
+/// front before each refill, and each byte of capacity is zero-filled at
+/// most once per connection, never per `read`. So the steady state neither
+/// allocates nor zeroes, and the buffer grows only when a single frame
+/// exceeds the current capacity.
 #[derive(Debug)]
 pub struct FrameBuffer {
+    /// Initialised bytes. The length only grows; `end..` is stale room
+    /// the next `read` writes straight into.
     buf: Vec<u8>,
     /// Offset of the first unconsumed byte in `buf`.
     start: usize,
-}
-
-impl Default for FrameBuffer {
-    fn default() -> Self {
-        Self::with_capacity(64 << 10)
-    }
+    /// One past the last filled byte in `buf`.
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -1119,18 +1119,20 @@ impl FrameBuffer {
         Self {
             buf: Vec::with_capacity(cap.max(8)),
             start: 0,
+            end: 0,
         }
     }
 
     /// Unconsumed bytes currently buffered (a partial frame tail, usually).
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Drop already-consumed bytes, moving any partial tail to the front.
     fn compact(&mut self) {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
@@ -1139,29 +1141,34 @@ impl FrameBuffer {
     /// socket path uses [`FrameBuffer::fill_from`]).
     pub fn extend(&mut self, bytes: &[u8]) {
         self.compact();
-        self.buf.extend_from_slice(bytes);
+        let end = self.end + bytes.len();
+        if end > self.buf.len() {
+            self.buf.resize(end, 0);
+        }
+        self.buf[self.end..end].copy_from_slice(bytes);
+        self.end = end;
     }
 
     /// One `read` from a blocking stream into the buffer tail. Returns the
-    /// byte count (`0` = clean EOF). The read window is the buffer's spare
-    /// capacity, grown to at least `min_window` so a large frame can always
-    /// make progress.
+    /// byte count (`0` = clean EOF); on error the buffered bytes are left
+    /// as they were. The read window is the initialised room past the
+    /// filled end. Only when that room is under `min_window` is it grown
+    /// (and zeroed, once) to the whole capacity or `min_window`, whichever
+    /// is larger, so a large frame can always make progress.
     pub fn fill_from<R: Read>(&mut self, r: &mut R, min_window: usize) -> io::Result<usize> {
         self.compact();
-        let len = self.buf.len();
-        let window = (self.buf.capacity() - len).max(min_window.max(1));
-        self.buf.resize(len + window, 0);
+        let min_end = self.end + min_window.max(1);
+        if self.buf.len() < min_end {
+            self.buf.resize(min_end.max(self.buf.capacity()), 0);
+        }
         loop {
-            match r.read(&mut self.buf[len..]) {
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(n) => {
-                    self.buf.truncate(len + n);
+                    self.end += n;
                     return Ok(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.truncate(len);
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -1174,7 +1181,7 @@ impl FrameBuffer {
     /// about its fields) is reported as the error it is instead of
     /// waiting forever for bytes that cannot help.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -1302,6 +1309,55 @@ mod tests {
         let count_at = 4 + 1 + 1 + 8 + 5 + 5;
         bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_frame(&bytes), Err(WireError::BadLength));
+    }
+
+    /// Hands out `chunk` bytes of `data` per `read` and scribbles `0xFF`
+    /// over the rest of the window it was lent, recording whether the
+    /// window's last byte still held an earlier scribble (i.e. was not
+    /// zeroed again since).
+    struct Scribbler<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        stale: Vec<bool>,
+    }
+
+    impl Read for Scribbler<'_> {
+        fn read(&mut self, w: &mut [u8]) -> io::Result<usize> {
+            self.stale.push(w.last() == Some(&0xFF));
+            let n = self.chunk.min(self.data.len()).min(w.len());
+            w[..n].copy_from_slice(&self.data[..n]);
+            w[n..].fill(0xFF);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn fill_from_zeroes_the_window_once() {
+        let mut bytes = Vec::new();
+        for token in 0..200 {
+            encode_frame(&Frame::Probe { token, t0_ns: 0 }, &mut bytes);
+        }
+        let mut r = Scribbler {
+            data: &bytes,
+            chunk: 100,
+            stale: Vec::new(),
+        };
+        let mut fb = FrameBuffer::with_capacity(4096);
+        let mut out = Vec::new();
+        while fb.fill_from(&mut r, 64).expect("in-memory read") > 0 {
+            fb.drain_frames(&mut out).expect("valid stream");
+        }
+        assert_eq!(out.len(), 200);
+        assert_eq!(fb.pending(), 0);
+        // The first fill initialised the whole capacity and nothing since
+        // grew or re-zeroed it: every later window still held the scribble.
+        assert_eq!(fb.buf.len(), fb.buf.capacity());
+        assert!(!r.stale[0]);
+        assert!(
+            r.stale[1..].iter().all(|&s| s),
+            "a later read was re-zeroed"
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! coalescing writer's single `write_all` produces — must decode through
 //! the incremental [`FrameBuffer`] to the identical frame sequence no
 //! matter how the stream is split into reads: frame-aligned, mid-header,
-//! mid-body, byte-at-a-time, or all at once.
+//! mid-body, byte-at-a-time, or all at once. The same holds for the
+//! socket path, [`FrameBuffer::fill_from`], fed by a `Read` that returns
+//! arbitrary chunks, is interrupted, or fails mid-frame.
 
 use cx_net::wire::{decode_frame, encode_frame, Frame, FrameBuffer};
 use cx_net::NodeId;
@@ -12,6 +14,7 @@ use cx_types::{Hint, OpId, Payload, ProcId, ServerId, Verdict};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::io::{self, Read};
 
 fn sample_frame(rng: &mut SmallRng) -> Frame {
     let op_id = OpId::new(
@@ -96,8 +99,122 @@ fn decode_chunked(bytes: &[u8], cuts: &[usize]) -> Vec<Frame> {
     out
 }
 
+/// A `Read` over a byte stream with a scripted shape: step `i` answers
+/// `Interrupted` first if `script[i].1` is set, then returns up to
+/// `script[i].0` bytes (the script cycles). Every call first scribbles
+/// over the whole window it was lent, so a buffer that trusted bytes past
+/// the returned count would decode garbage.
+struct ScriptedReader<'a> {
+    bytes: &'a [u8],
+    script: Vec<(usize, bool)>,
+    step: usize,
+    interrupted: bool,
+}
+
+impl Read for ScriptedReader<'_> {
+    fn read(&mut self, w: &mut [u8]) -> io::Result<usize> {
+        w.fill(0xA5);
+        let (size, interrupt) = self.script[self.step % self.script.len()];
+        if interrupt && !self.interrupted {
+            self.interrupted = true;
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        self.interrupted = false;
+        self.step += 1;
+        let n = size.min(self.bytes.len()).min(w.len());
+        w[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// A frame whose encoding is `body` bytes longer than an empty one, so a
+/// 64-byte buffer must grow to hold it.
+fn big_frame(body: usize) -> Frame {
+    Frame::StopResp {
+        stats_json: vec![b'x'; body],
+        inodes: vec![],
+        dentries: vec![],
+    }
+}
+
+#[test]
+fn failed_read_mid_frame_keeps_the_buffered_prefix() {
+    let frame = Frame::Probe {
+        token: 7,
+        t0_ns: 11,
+    };
+    let mut bytes = Vec::new();
+    encode_frame(&frame, &mut bytes);
+    let cut = 6; // past the length prefix, inside the body
+
+    /// One good chunk, then a timeout that scribbles over the window,
+    /// then the rest.
+    struct Flaky<'a> {
+        steps: Vec<Result<&'a [u8], io::ErrorKind>>,
+    }
+    impl Read for Flaky<'_> {
+        fn read(&mut self, w: &mut [u8]) -> io::Result<usize> {
+            w.fill(0xFF);
+            match self.steps.remove(0) {
+                Ok(chunk) => {
+                    w[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+                Err(kind) => Err(kind.into()),
+            }
+        }
+    }
+    let mut r = Flaky {
+        steps: vec![
+            Ok(&bytes[..cut]),
+            Err(io::ErrorKind::WouldBlock),
+            Ok(&bytes[cut..]),
+        ],
+    };
+    let mut fb = FrameBuffer::with_capacity(64);
+    assert_eq!(fb.fill_from(&mut r, 16).expect("first chunk"), cut);
+    assert_eq!(fb.next_frame(), Ok(None));
+    let err = fb.fill_from(&mut r, 16).expect_err("scripted failure");
+    assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    assert_eq!(fb.pending(), cut, "the failed read kept the prefix");
+    assert_eq!(fb.next_frame(), Ok(None));
+    assert_eq!(fb.fill_from(&mut r, 16).expect("rest"), bytes.len() - cut);
+    assert_eq!(fb.next_frame(), Ok(Some(frame)));
+    assert_eq!(fb.pending(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The socket path: arbitrary chunk sizes (small ones cut inside
+    /// length prefixes), injected `Interrupted`, and one frame larger
+    /// than the buffer's initial capacity decode through `fill_from` to
+    /// the same sequence as the unsplit stream.
+    #[test]
+    fn fill_from_decodes_identically(
+        seed in any::<u64>(),
+        script in prop::collection::vec((1usize..48, any::<bool>()), 1..16),
+        min_window in 1usize..96,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut frames: Vec<Frame> = (0..rng.gen_range(1usize..12))
+            .map(|_| sample_frame(&mut rng))
+            .collect();
+        let at = rng.gen_range(0..frames.len() + 1);
+        frames.insert(at, big_frame(rng.gen_range(64usize..512)));
+        let bytes = coalesce(&frames);
+        let reference = decode_whole(&bytes);
+
+        let mut r = ScriptedReader { bytes: &bytes, script, step: 0, interrupted: false };
+        let mut fb = FrameBuffer::with_capacity(64);
+        let mut out = Vec::new();
+        while fb.fill_from(&mut r, min_window).expect("in-memory read") > 0 {
+            fb.drain_frames(&mut out).expect("valid stream");
+        }
+        prop_assert_eq!(fb.pending(), 0, "a complete stream leaves no residue");
+        prop_assert_eq!(out, reference);
+    }
 
     /// Arbitrary split boundaries — including mid-length-prefix and
     /// mid-body cuts — decode to the same sequence as the unsplit stream.

@@ -96,7 +96,9 @@ pub struct NetTuning {
     pub queue_cap: usize,
     /// Size of the reader's reusable receive buffer; each `read` may
     /// yield many frames, which are decoded in place and delivered as
-    /// one batch.
+    /// one batch. The buffer is zeroed once per connection, on its first
+    /// fill; later `read`s land in the already-initialised window, so a
+    /// larger buffer costs memory but no per-`read` work.
     pub read_buf_bytes: usize,
 }
 
